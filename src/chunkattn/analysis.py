@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .representation import ChunkRepr, chunk_query_batch, chunk_representation_batch
+from .representation import chunk_query_batch, chunk_representation_batch
 from .selection import apply_head_constraints, rank_top, select
 from .trace import SelectionTrace
 
@@ -245,17 +245,12 @@ def run_passkey_trial(
     first, last = 0, instance.m - 1
     sets = []
     for head in range(instance.n_heads):
-        cands = [
-            ChunkRepr(layer=0, head=head, chunk=i, c=reps[head, i], q_c=reps[head, i])
-            for i in range(instance.m)
-            if i not in (first, last)
-        ]
         rng = (
             np.random.default_rng([seed, 0, head, step]) if policy == "random" else None
         )
         sel = select(
             instance.probes[head],
-            cands,
+            reps[head, first + 1 : last],
             first,
             last,
             k,

@@ -3,10 +3,18 @@
 Sealed chunks live in a hot tier (numpy arrays) or an offload tier (an
 in-process byte store standing in for host memory). Fetches from the
 offload tier are counted in token rows, so the decode-phase load bound is
-observable rather than asserted. Chunk representations are always hot.
+observable rather than asserted. Chunk representations are always hot:
+each (layer, head) keeps one contiguous (m, d_head) matrix whose row i is
+chunk i's summary, written at seal, so a decode step scores every
+candidate chunk with one matmul over a slice of it.
 
 The recent region keeps Q rows alongside K/V because sealing needs the
 chunk's own queries to build its summary; Q rows are dropped at seal.
+
+The store keeps a running count of hot tokens (hot slab rows plus recent
+rows over all (layer, head) pairs), updated on every residency change, so
+sampling the peak costs O(1) per write or gather; `hot_tokens()` is the
+slow recount.
 
 One decode loop writes per sequence; sealed slabs are immutable, so
 gathers for distinct (layer, head) pairs could proceed concurrently.
@@ -17,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .representation import (
-    ChunkRepr,
     build_chunk_repr,
     chunk_query,
     chunk_representation,
@@ -28,7 +35,11 @@ RESIDENCY_MODES = ("hot", "offload", "budget")
 
 
 class _Slab:
-    """One sealed chunk's K/V rows, resident either as arrays or as bytes."""
+    """One sealed chunk's K/V rows, resident either as arrays or as bytes.
+
+    Residency changes go through ChunkStore._offload / _promote, which keep
+    the store's hot-token count and hot-slab sets in step.
+    """
 
     __slots__ = ("rows", "dim", "k", "v", "k_bytes", "v_bytes", "hot", "stamp")
 
@@ -45,30 +56,12 @@ class _Slab:
         self.hot = True
         self.stamp = stamp
 
-    def offload(self) -> None:
-        if not self.hot:
-            return
-        self.k_bytes = self.k.tobytes()
-        self.v_bytes = self.v.tobytes()
-        self.k = None
-        self.v = None
-        self.hot = False
-
     def fetch(self):
-        """Materialize arrays from the byte tier without changing residency."""
+        """Read-only arrays over the byte tier; residency is unchanged."""
         shape = (self.rows, self.dim)
-        k = np.frombuffer(self.k_bytes, dtype=np.float64).reshape(shape).copy()
-        v = np.frombuffer(self.v_bytes, dtype=np.float64).reshape(shape).copy()
-        k.flags.writeable = False
-        v.flags.writeable = False
+        k = np.frombuffer(self.k_bytes, dtype=np.float64).reshape(shape)
+        v = np.frombuffer(self.v_bytes, dtype=np.float64).reshape(shape)
         return k, v
-
-    def promote(self, k: np.ndarray, v: np.ndarray) -> None:
-        self.k = k
-        self.v = v
-        self.k_bytes = None
-        self.v_bytes = None
-        self.hot = True
 
 
 class ChunkStore:
@@ -92,11 +85,13 @@ class ChunkStore:
         self.chunk_size = chunk_size
         self.working_set_tokens = working_set_tokens
         self._slabs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._reprs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
+        self._hot_slabs = [[set() for _ in range(n_heads)] for _ in range(n_layers)]
+        self._reprs = [[np.empty((0, d_head)) for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_q = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_k = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_v = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._clock = 0
+        self._hot_level = 0
         self.tokens_loaded_this_step = 0
         self.tokens_loaded_total = 0
         self.tokens_gathered_this_step = 0
@@ -131,35 +126,53 @@ class ChunkStore:
         self.budget = budget
         for layer in range(self.n_layers):
             for head in range(self.n_heads):
-                slabs = self._slabs[layer][head]
                 if mode == "offload":
-                    for slab in slabs:
-                        slab.offload()
+                    for slab in list(self._hot_slabs[layer][head]):
+                        self._offload(layer, head, slab)
                 elif mode == "hot":
-                    for slab in slabs:
+                    for slab in self._slabs[layer][head]:
                         if not slab.hot:
-                            slab.promote(*slab.fetch())
+                            self._promote(layer, head, slab, *slab.fetch())
                 else:
-                    self._evict_over_budget(slabs)
+                    self._evict_over_budget(layer, head)
         self._note_hot_level()
 
-    def _evict_over_budget(self, slabs) -> None:
-        hot = [s for s in slabs if s.hot]
+    def _evict_over_budget(self, layer: int, head: int) -> None:
+        """Offload least-recently-gathered slabs until the (layer, head)
+        holds at most `budget` hot rows; costs O(hot slabs), not O(m)."""
+        hot = self._hot_slabs[layer][head]
         hot_tokens = sum(s.rows for s in hot)
-        hot.sort(key=lambda s: s.stamp)
-        while hot and hot_tokens > self.budget:
-            victim = hot.pop(0)
-            victim.offload()
+        if hot_tokens <= self.budget:
+            return
+        for victim in sorted(hot, key=lambda s: s.stamp):
+            if hot_tokens <= self.budget:
+                break
+            self._offload(layer, head, victim)
             hot_tokens -= victim.rows
 
+    def _offload(self, layer: int, head: int, slab: _Slab) -> None:
+        """Move a hot slab to the byte tier."""
+        self._hot_slabs[layer][head].remove(slab)
+        slab.k_bytes = slab.k.tobytes()
+        slab.v_bytes = slab.v.tobytes()
+        slab.k = None
+        slab.v = None
+        slab.hot = False
+        self._hot_level -= slab.rows
+
+    def _promote(self, layer: int, head: int, slab: _Slab, k: np.ndarray, v: np.ndarray) -> None:
+        """Make an offloaded slab hot again with its fetched arrays."""
+        self._hot_slabs[layer][head].add(slab)
+        self._hot_level += slab.rows
+        slab.k = k
+        slab.v = v
+        slab.k_bytes = None
+        slab.v_bytes = None
+        slab.hot = True
+
     def _note_hot_level(self) -> None:
-        level = 0
-        for layer in range(self.n_layers):
-            for head in range(self.n_heads):
-                level += sum(s.rows for s in self._slabs[layer][head] if s.hot)
-                level += len(self._recent_k[layer][head])
-        if level > self.peak_hot_tokens:
-            self.peak_hot_tokens = level
+        if self._hot_level > self.peak_hot_tokens:
+            self.peak_hot_tokens = self._hot_level
 
     # -- writes ------------------------------------------------------------
 
@@ -171,32 +184,44 @@ class ChunkStore:
         K = np.stack(k_rows)
         V = np.stack(v_rows)
         chunk_id = len(self._slabs[layer][head])
+        # the peak is sampled inside _install_sealed, while these rows still
+        # count as recent
         self._install_sealed(layer, head, Q, K, V, chunk_id)
         q_rows.clear()
         k_rows.clear()
         v_rows.clear()
+        self._hot_level -= K.shape[0]
         return chunk_id
 
     def _install_sealed(self, layer, head, Q, K, V, chunk_id) -> None:
         if self.weight_records is not None:
             q_c = chunk_query(Q, K, V)
             c, weights = chunk_representation(q_c, K, return_weights=True)
-            c.flags.writeable = False
-            q_c.flags.writeable = False
-            rep = ChunkRepr(layer=layer, head=head, chunk=chunk_id, c=c, q_c=q_c)
             self.weight_records.append(weights_record(layer, head, chunk_id, weights))
         else:
-            rep = build_chunk_repr(layer, head, chunk_id, Q, K, V)
+            c = build_chunk_repr(layer, head, chunk_id, Q, K, V).c
+        self._write_repr(layer, head, chunk_id, c)
         self._clock += 1
         slab = _Slab(K, V, stamp=self._clock)
         slabs = self._slabs[layer][head]
         slabs.append(slab)
-        self._reprs[layer][head].append(rep)
+        self._hot_slabs[layer][head].add(slab)
+        self._hot_level += slab.rows
         if self.mode == "offload":
-            slab.offload()
+            self._offload(layer, head, slab)
         elif self.mode == "budget":
-            self._evict_over_budget(slabs)
+            self._evict_over_budget(layer, head)
         self._note_hot_level()
+
+    def _write_repr(self, layer: int, head: int, chunk_id: int, c: np.ndarray) -> None:
+        """Store chunk `chunk_id`'s summary as row `chunk_id` of the
+        (layer, head) matrix, doubling its capacity when full."""
+        mat = self._reprs[layer][head]
+        if chunk_id == mat.shape[0]:
+            grown = np.empty((max(8, 2 * chunk_id), self.d_head))
+            grown[:chunk_id] = mat[:chunk_id]
+            self._reprs[layer][head] = mat = grown
+        mat[chunk_id] = c
 
     def append_token(self, layer: int, head: int, q, k, v):
         """Add one token's unrotated states; returns the sealed chunk id
@@ -207,6 +232,7 @@ class ChunkStore:
         self._recent_q[layer][head].append(q)
         self._recent_k[layer][head].append(k)
         self._recent_v[layer][head].append(v)
+        self._hot_level += 1
         if len(self._recent_k[layer][head]) == self.chunk_size:
             return self._seal(layer, head)
         self._note_hot_level()
@@ -238,6 +264,7 @@ class ChunkStore:
             self._recent_q[layer][head].append(Q[row].copy())
             self._recent_k[layer][head].append(K[row].copy())
             self._recent_v[layer][head].append(V[row].copy())
+        self._hot_level += n - (n // l) * l
         self._note_hot_level()
         return sealed
 
@@ -256,19 +283,16 @@ class ChunkStore:
         v = self._recent_v[layer][head]
         empty = np.zeros((0, self.d_head))
         return (
-            np.stack(q) if q else empty,
-            np.stack(k) if k else empty,
-            np.stack(v) if v else empty,
+            np.array(q) if q else empty,
+            np.array(k) if k else empty,
+            np.array(v) if v else empty,
         )
 
-    def representations(self, layer: int, head: int) -> list:
-        return self._reprs[layer][head]
-
     def repr_matrix(self, layer: int, head: int) -> np.ndarray:
-        reps = self._reprs[layer][head]
-        if not reps:
-            return np.zeros((0, self.d_head))
-        return np.stack([r.c for r in reps])
+        """Read-only (sealed, d_head) view: row i is chunk i's summary."""
+        view = self._reprs[layer][head][: len(self._slabs[layer][head])]
+        view.flags.writeable = False
+        return view
 
     def gather(self, layer: int, head: int, chunk_ids, include_recent: bool = False):
         """Materialize K/V rows for the given sealed chunks, ascending order.
@@ -278,10 +302,10 @@ class ChunkStore:
         otherwise the hot set is left unchanged. Returns (K, V, row_chunk_ids).
         """
         slabs = self._slabs[layer][head]
-        ks, vs, ids = [], [], []
+        ids = [int(cid) for cid in chunk_ids]
+        ks, vs = [], []
         prev = -1
-        for cid in chunk_ids:
-            cid = int(cid)
+        for cid in ids:
             if not 0 <= cid < len(slabs):
                 raise KeyError(f"unknown chunk id {cid} (sealed: {len(slabs)})")
             if cid <= prev:
@@ -297,27 +321,26 @@ class ChunkStore:
                 self.tokens_loaded_this_step += slab.rows
                 self.tokens_loaded_total += slab.rows
                 if self.mode == "budget":
-                    slab.promote(k, v)
+                    self._promote(layer, head, slab, k, v)
             ks.append(k)
             vs.append(v)
-            ids.append(np.full(slab.rows, cid, dtype=np.int64))
         if self.mode == "budget":
             # evict once per gather so the working set cannot thrash itself
-            self._evict_over_budget(slabs)
-        if include_recent:
+            self._evict_over_budget(layer, head)
+        counts = [self.chunk_size] * len(ids)
+        if include_recent and self._recent_k[layer][head]:
             _, rk, rv = self.recent_states(layer, head)
-            if rk.shape[0]:
-                ks.append(rk)
-                vs.append(rv)
-                ids.append(np.full(rk.shape[0], len(slabs), dtype=np.int64))
+            ks.append(rk)
+            vs.append(rv)
+            ids.append(len(slabs))
+            counts.append(rk.shape[0])
         if ks:
             K = np.concatenate(ks, axis=0)
             V = np.concatenate(vs, axis=0)
-            row_ids = np.concatenate(ids)
         else:
             K = np.zeros((0, self.d_head))
             V = np.zeros((0, self.d_head))
-            row_ids = np.zeros(0, dtype=np.int64)
+        row_ids = np.repeat(np.array(ids, dtype=np.int64), counts)
         rows = K.shape[0]
         self.tokens_gathered_this_step += rows
         self.tokens_gathered_total += rows
@@ -331,6 +354,7 @@ class ChunkStore:
         self.tokens_gathered_this_step = 0
 
     def hot_tokens(self) -> int:
+        """Recount hot tokens slab by slab; O(L·H·m), for checks only."""
         level = 0
         for layer in range(self.n_layers):
             for head in range(self.n_heads):

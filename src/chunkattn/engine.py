@@ -127,6 +127,7 @@ class Engine:
         H, d = mc.n_heads, mc.d_head
         rope = self.model.rope
         h = self.model.embed[toks]
+        max_pos = -1
         for layer in range(mc.n_layers):
             x = rms_norm(h)
             Q, K, V = self.model.project_heads(layer, x)
@@ -149,6 +150,7 @@ class Engine:
                         )
                     self._record_block(layer, start, l_c, None, None)
                     self._note_encode_window(l_c)
+                    max_pos = max(max_pos, l_c - 1)
                     continue
                 ids, diag = self._encode_selection_ids(layer, c, l_c, start, reprs, q_blk)
                 n_sel = ids.shape[-1]
@@ -170,12 +172,13 @@ class Engine:
                     )
                 self._record_block(layer, start, l_c, ids, diag)
                 self._note_encode_window(span + l_c)
+                max_pos = max(max_pos, span + l_c - 1)
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
         logits = self.model.logits_from_hidden(h)
         self.last_logits = logits[-1]
         self.counters.encode_tokens = n
-        self.counters.encode_max_rotary_position = rope.max_position_applied
+        self.counters.encode_max_rotary_position = max_pos
         return logits
 
     def _note_encode_window(self, rows: int) -> None:
@@ -296,8 +299,7 @@ class Engine:
         store = self.store
         step = self.layout.n
         store.begin_step()
-        global_max_pos = rope.max_position_applied
-        rope.max_position_applied = -1
+        max_pos = -1
         max_attended = 0
         h = self.model.embed[np.array([token])]
         layer0_sets: list = [None] * H
@@ -313,7 +315,7 @@ class Engine:
                     sel = SelectionSet(layer, head, step, ())
                 else:
                     first, last = 0, sealed - 1
-                    cands = store.representations(layer, head)[1:last] if last >= 1 else []
+                    cands = store.repr_matrix(layer, head)[1:last]
                     rng = (
                         np.random.default_rng([cfg.seed, layer, head, step])
                         if base == "random"
@@ -330,6 +332,7 @@ class Engine:
                         layer=layer,
                         head=head,
                         query_token=step,
+                        record_scores=self.record_scores,
                     )
                 if policy == "fix-head" and head > 0:
                     sel = apply_head_constraints(sel, policy, head0_set)
@@ -362,21 +365,20 @@ class Engine:
                 vals = np.concatenate([v_rows, V[head]], axis=0)
                 head_out[head] = attend(q_rot, keys, vals)
                 max_attended = max(max_attended, keys.shape[0])
+                max_pos = max(max_pos, pm.query_position)
             h = h + self.model.merge_heads(head_out) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
             for head in range(H):
                 store.append_token(layer, head, Q[head, 0], K[head, 0], V[head, 0])
         self.layout, _ = advance(self.layout, step)
         self.step_count += 1
-        step_max_pos = rope.max_position_applied
-        rope.max_position_applied = max(global_max_pos, step_max_pos)
         self.counters.steps.append(
             StepCounters(
                 step=step,
                 rows_gathered=store.tokens_gathered_this_step,
                 rows_loaded=store.tokens_loaded_this_step,
                 max_attended_rows=max_attended,
-                max_rotary_position=step_max_pos,
+                max_rotary_position=max_pos,
             )
         )
         return self.model.logits_from_hidden(h)[0]

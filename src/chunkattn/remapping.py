@@ -50,22 +50,20 @@ def remap(
     """
     if recent_len < 0:
         raise ValueError(f"recent_len={recent_len} must be >= 0")
-    bounds = layout.bounds
+    l, n, m = layout.chunk_size, layout.n, layout.m
     segments = []
     cursor = 0
     for cid in selection.chunks:
-        if not 0 <= cid < len(bounds):
-            raise ValueError(f"chunk {cid} outside layout with {len(bounds)} chunks")
-        start, end = bounds[cid]
+        if not 0 <= cid < m:
+            raise ValueError(f"chunk {cid} outside layout with {m} chunks")
+        start, end = cid * l, min((cid + 1) * l, n)
         length = end - start
         segments.append(Segment(cid, (start, end), (cursor, cursor + length)))
         cursor += length
     if recent_len:
-        if recent_len > layout.n:
-            raise ValueError(f"recent_len={recent_len} exceeds stream length {layout.n}")
-        segments.append(
-            Segment(RECENT_SEGMENT, (layout.n - recent_len, layout.n), (cursor, cursor + recent_len))
-        )
+        if recent_len > n:
+            raise ValueError(f"recent_len={recent_len} exceeds stream length {n}")
+        segments.append(Segment(RECENT_SEGMENT, (n - recent_len, n), (cursor, cursor + recent_len)))
         cursor += recent_len
     if cursor + 1 > max_positions:
         raise ValueError(

@@ -4,6 +4,10 @@ The first chunk keeps the model stable and the most recent sealed chunk
 carries local context, so both are always kept (except under the no-first
 ablation). The remaining budget goes to the candidates with the highest
 dot-product score against the query, or to the ablation variant's picks.
+
+Candidates arrive as one contiguous (C, d) slice of a head's
+representation matrix, so scoring is a single matmul and ranking a
+partition; nothing per candidate runs in Python.
 """
 
 from __future__ import annotations
@@ -36,17 +40,34 @@ class SelectionSet:
             raise ValueError(f"chunk ids must be strictly ascending, got {self.chunks}")
 
 
+# Below this many candidates a full stable sort is cheaper than partitioning
+# (numpy 2.4 on a Xeon: sort wins at 256 scores, partition from about 400).
+PARTITION_MIN = 384
+
+
 def rank_top(scores: np.ndarray, take: int) -> np.ndarray:
     """Positions of the `take` best scores along the last axis; ties go to
-    the lower position. Leading axes are treated as batch dimensions."""
-    take = max(0, min(take, scores.shape[-1]))
+    the lower position. Leading axes are treated as batch dimensions.
+
+    A long 1-D ranking partitions instead of sorting. The partition is
+    kept only when exactly `take` scores reach its smallest member, so no
+    tie straddles the cut; the `take` winners are then ordered by score and
+    position. A straddling tie (or a NaN) falls back to the stable sort.
+    """
+    n = scores.shape[-1]
+    take = max(0, min(take, n))
+    if scores.ndim == 1 and n >= PARTITION_MIN and 0 < take < n:
+        top = np.argpartition(scores, n - take)[n - take :]
+        vals = scores[top]
+        if np.count_nonzero(scores >= vals.min()) == take:
+            return top[np.lexsort((top, -vals))]
     order = np.argsort(-scores, axis=-1, kind="stable")
     return order[..., :take]
 
 
 def select(
     query: np.ndarray,
-    reprs,
+    candidates: np.ndarray,
     first: int,
     last: int,
     k: int,
@@ -56,13 +77,17 @@ def select(
     layer: int = 0,
     head: int = 0,
     query_token: int = 0,
+    record_scores: bool = True,
 ) -> SelectionSet:
     """Pick at most k chunks for one query.
 
-    `reprs` holds ChunkRepr candidates and must exclude `first` and `last`;
-    those two are appended unconditionally (policy permitting). Constraint
-    policies (fix-head etc.) rank exactly like top-k here; sharing across
-    heads/layers is applied afterwards via apply_head_constraints.
+    `candidates` is a (C, d) matrix of chunk representations whose row i
+    is chunk first + 1 + i; it must exclude `first` and `last`, which are
+    appended unconditionally (policy permitting). One matmul scores every
+    row. Constraint policies (fix-head etc.) rank exactly like top-k here;
+    sharing across heads/layers is applied afterwards via
+    apply_head_constraints. With record_scores=False the returned set
+    leaves `candidates` and `scores` empty.
     """
     if k < 2:
         raise ValueError(f"k={k} must be >= 2")
@@ -71,25 +96,25 @@ def select(
     query = np.asarray(query, dtype=np.float64)
     if query.ndim != 1 or query.size == 0:
         raise ValueError(f"query must be a nonempty vector, got shape {query.shape}")
-
-    candidate_ids = []
-    vectors = []
-    for r in reprs:
-        c = np.asarray(r.c, dtype=np.float64)
-        if c.size == 0:
-            raise ValueError(f"chunk {r.chunk} has an empty representation vector")
-        if c.shape != query.shape:
+    candidates = np.asarray(candidates, dtype=np.float64)
+    count = len(candidates)
+    if count:
+        if candidates.ndim != 2:
+            raise ValueError(f"candidates must be a (C, d) matrix, got shape {candidates.shape}")
+        if candidates.shape[1] == 0:
+            raise ValueError("candidates hold an empty representation vector")
+        if candidates.shape[1] != query.size:
             raise ValueError(
-                f"representation dimension {c.shape} does not match query {query.shape}"
+                f"representation dimension {candidates.shape[1:]} does not match query {query.shape}"
             )
-        if r.chunk in (first, last):
-            raise ValueError(f"candidates must exclude the mandatory chunks, got {r.chunk}")
-        candidate_ids.append(r.chunk)
-        vectors.append(c)
-    candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
-    scores = (
-        np.stack(vectors) @ query if vectors else np.zeros(0, dtype=np.float64)
-    )
+        if first + count >= last:
+            raise ValueError(
+                f"candidates must exclude the mandatory chunks, got ids "
+                f"{first + 1}..{first + count} with last={last}"
+            )
+        scores = candidates @ query
+    else:
+        scores = np.zeros(0, dtype=np.float64)
 
     base = policy if policy not in CONSTRAINT_POLICIES else "top-k"
     if base == "no-first":
@@ -98,27 +123,29 @@ def select(
     else:
         mandatory = {first, last}
         take = k - 2
+    take = min(take, count)
 
     if base in ("top-k", "no-first"):
-        picked = candidate_ids[rank_top(scores, take)]
+        picked = first + 1 + rank_top(scores, take)
     elif base == "last-k":
-        order = np.argsort(-candidate_ids, kind="stable")
-        picked = candidate_ids[order[:take]]
+        picked = range(first + 1 + count - take, first + 1 + count)
     elif base == "random":
         if rng is None:
             raise ValueError("random policy requires an rng")
-        count = min(take, candidate_ids.size)
-        picked = rng.choice(candidate_ids, size=count, replace=False) if count else []
+        ids = np.arange(first + 1, first + 1 + count, dtype=np.int64)
+        picked = rng.choice(ids, size=take, replace=False) if take else []
     else:  # pragma: no cover - exhaustive above
         raise AssertionError(base)
 
     chosen = sorted(mandatory | set(int(p) for p in picked))
+    if not record_scores:
+        return SelectionSet(layer=layer, head=head, query_token=query_token, chunks=tuple(chosen))
     return SelectionSet(
         layer=layer,
         head=head,
         query_token=query_token,
         chunks=tuple(chosen),
-        candidates=tuple(int(i) for i in candidate_ids),
+        candidates=tuple(range(first + 1, first + 1 + count)),
         scores=tuple(float(s) for s in scores),
     )
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from chunkattn import (
-    ChunkRepr,
     Engine,
     EngineConfig,
     ModelConfig,
@@ -200,10 +199,9 @@ def test_criterion_7_mandatory_membership_over_random_selections():
         q = rng.normal(size=d)
         if np.linalg.norm(q) < 1e-9:
             q = np.ones(d)
-        cands = [
-            ChunkRepr(0, 0, c, rng.normal(size=d), rng.normal(size=d))
-            for c in range(1, n_cands + 1)
-        ]
+        # chunk c's vector is row c - 1; each draw also consumes the q_c
+        # vector the list-based form drew, so the cases are unchanged
+        cands = rng.normal(size=(n_cands, 2, d))[:, 0]
         first, last = 0, n_cands + 1
         sel = select(
             q, cands, first, last, k, policy=policy,

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chunkattn import ChunkStore
 
@@ -28,7 +29,7 @@ def test_append_seals_on_chunk_boundary():
     # Q rows for the sealed chunk are gone
     assert len(store._recent_q[0][0]) == 0
     assert store.sealed_count(0, 0) == 1
-    assert len(store.representations(0, 0)) == 1
+    assert len(store.repr_matrix(0, 0)) == 1
 
 
 def test_bulk_append_matches_streaming():
@@ -45,7 +46,7 @@ def test_bulk_append_matches_streaming():
     for cid in range(2):
         np.testing.assert_array_equal(bulk._slabs[0][0][cid].k, stream._slabs[0][0][cid].k)
         np.testing.assert_allclose(
-            bulk.representations(0, 0)[cid].c, stream.representations(0, 0)[cid].c
+            bulk.repr_matrix(0, 0)[cid], stream.repr_matrix(0, 0)[cid]
         )
     for a, b in zip(bulk.recent_states(0, 0), stream.recent_states(0, 0)):
         np.testing.assert_array_equal(a, b)
@@ -165,7 +166,7 @@ def test_representation_exists_iff_sealed():
     for i in range(6):
         store.append_token(0, 0, *rng.normal(size=(3, 4)))
     assert store.sealed_count(0, 0) == 1
-    assert len(store.representations(0, 0)) == 1
+    assert len(store.repr_matrix(0, 0)) == 1
     assert store.repr_matrix(0, 0).shape == (1, 4)
 
 
@@ -194,3 +195,56 @@ def test_collect_weights_debug_records():
         assert w.shape == (4,)
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+_layer_head = (st.integers(0, 1), st.integers(0, 1))
+_store_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), *_layer_head),
+        st.tuples(st.just("bulk"), *_layer_head, st.integers(1, 10)),
+        st.tuples(st.just("gather"), *_layer_head,
+                  st.lists(st.integers(0, 12), max_size=4, unique=True), st.booleans()),
+        st.tuples(st.just("residency"), st.sampled_from(["hot", "offload", "budget"]),
+                  st.sampled_from([8, 12, 20])),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_store_ops, mode=st.sampled_from(["hot", "offload", "budget"]), seed=st.integers(0, 99))
+def test_hot_level_counter_matches_recount(ops, mode, seed):
+    rng = np.random.default_rng(seed)
+    store = make_store(l=4, layers=2, heads=2, residency=mode,
+                       budget=12 if mode == "budget" else None, working_set_tokens=8)
+    # slow reference: recount at every point where the store samples its peak
+    reference = {"peak": 0}
+    sample = store._note_hot_level
+
+    def recount_then_sample():
+        level = store.hot_tokens()
+        assert store._hot_level == level
+        reference["peak"] = max(reference["peak"], level)
+        sample()
+
+    store._note_hot_level = recount_then_sample
+    for op in ops:
+        kind = op[0]
+        if kind == "append":
+            store.append_token(op[1], op[2], *rng.normal(size=(3, 4)))
+        elif kind == "bulk":
+            if store.recent_len(op[1], op[2]):
+                continue
+            store.bulk_append(op[1], op[2], *rng.normal(size=(3, op[3], 4)))
+        elif kind == "gather":
+            sealed = store.sealed_count(op[1], op[2])
+            ids = sorted(i for i in op[3] if i < sealed)
+            store.gather(op[1], op[2], ids, include_recent=op[4])
+        else:
+            store.set_residency(op[1], op[2] if op[1] == "budget" else None)
+        assert store._hot_level == store.hot_tokens()
+        assert store.peak_hot_tokens == reference["peak"]
+        for layer in range(2):
+            for head in range(2):
+                hot = {s for s in store._slabs[layer][head] if s.hot}
+                assert store._hot_slabs[layer][head] == hot

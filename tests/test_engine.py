@@ -259,3 +259,57 @@ def test_encode_uses_store_sealing(tiny_model):
     engine.generate(28)
     assert engine.store.sealed_count(0, 0) == 4
     assert engine.store.recent_len(0, 0) == 0
+
+
+def test_rotary_counter_ignores_other_users_of_the_model(tiny_config):
+    # the model's rotary table is shared; an oracle pass over 250 tokens
+    # must not leak into a later engine's own maximum
+    model = build_model(tiny_config)
+    full_attention_forward(model, random_tokens(250))
+    engine = make_engine(model, l=32, k=4)
+    engine.encode(random_tokens(20))
+    assert engine.counters.encode_max_rotary_position == 19
+    engine.generate(3)
+    assert [s.max_rotary_position for s in engine.counters.steps] == [20, 21, 22]
+    # the table keeps its own monotone record
+    assert model.rope.max_position_applied == 249
+
+
+def test_residency_modes_give_identical_outputs(tiny_model):
+    n, l, k, steps = 600, 16, 4, 24
+    toks = random_tokens(n)
+    runs = {}
+    for residency, budget in (("hot", None), ("offload", None), ("budget", 64)):
+        engine = make_engine(tiny_model, l=l, k=k, residency=residency, budget=budget)
+        encoded = engine.encode(toks)
+        logits = [encoded]
+        tokens = []
+        for _ in range(steps):
+            tokens.extend(engine.generate(1).tokens)
+            logits.append(engine.last_logits)
+        runs[residency] = (
+            [a.tobytes() for a in logits],
+            tokens,
+            engine.store.tokens_loaded_total,
+        )
+    hot, offload, budget = runs["hot"], runs["offload"], runs["budget"]
+    assert hot[:2] == offload[:2] == budget[:2]
+    L, H = tiny_model.config.n_layers, tiny_model.config.n_heads
+    assert hot[2] == 0
+    assert offload[2] == steps * L * H * k * l == 12288
+    assert budget[2] == 4816  # pins the least-recently-gathered eviction order
+
+
+@pytest.mark.parametrize("policy", ["top-k", "random", "last-k", "no-first",
+                                    "fix-head", "fix-layer", "fix-head-and-layer"])
+def test_prefill_matches_one_decode_step(tiny_model, policy):
+    l, k = 16, 4
+    for n in (200, 207, 208, 599):
+        toks = random_tokens(n + 1, seed=n)
+        engine = make_engine(tiny_model, l=l, k=k, policy=policy)
+        engine.encode(toks[:n])
+        # make token n the one greedy decoding feeds next
+        toks[n] = int(np.argmax(engine.last_logits))
+        engine.generate(1)
+        prefill = make_engine(tiny_model, l=l, k=k, policy=policy).encode(toks)[-1]
+        assert np.max(np.abs(engine.last_logits - prefill)) < 1e-12

@@ -1,18 +1,22 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chunkattn import ChunkRepr, SelectionSet, apply_head_constraints, select
+from chunkattn import SelectionSet, apply_head_constraints, select, selection
+from chunkattn.selection import rank_top
 
 
 def reprs_with_scores(query, scored):
-    """Candidate ChunkReprs whose dot product with `query` equals each score."""
-    d = query.size
+    """Candidate matrix whose row dot products with `query` equal each score.
+
+    `scored` lists (chunk_id, score) for consecutive chunk ids from 1, the
+    rows a caller with first=0 passes.
+    """
+    assert [chunk_id for chunk_id, _ in scored] == list(range(1, len(scored) + 1))
     unit = query / np.dot(query, query)
-    out = []
-    for chunk_id, score in scored:
-        out.append(ChunkRepr(layer=0, head=0, chunk=chunk_id, c=score * unit, q_c=score * unit))
-    return out
+    return np.array([score * unit for _, score in scored]).reshape(len(scored), query.size)
 
 
 def test_topk_selects_highest_scored_plus_mandatory():
@@ -75,13 +79,13 @@ def test_select_validations():
         select(q, [], 0, 1, k=1)
     with pytest.raises(ValueError, match="unknown policy"):
         select(q, [], 0, 1, k=2, policy="nope")
-    bad_dim = [ChunkRepr(0, 0, 1, np.ones(3), np.ones(3))]
+    bad_dim = np.ones((1, 3))
     with pytest.raises(ValueError, match="dimension"):
         select(q, bad_dim, 0, 2, k=3)
-    empty_vec = [ChunkRepr(0, 0, 1, np.zeros(0), np.zeros(0))]
+    empty_vec = np.zeros((1, 0))
     with pytest.raises(ValueError, match="empty representation"):
         select(q, empty_vec, 0, 2, k=3)
-    overlapping = reprs_with_scores(q, [(0, 1.0)])
+    overlapping = reprs_with_scores(q, [(1, 1.0), (2, 1.0)])  # row 2 is the last chunk
     with pytest.raises(ValueError, match="exclude the mandatory"):
         select(q, overlapping, 0, 2, k=3)
 
@@ -123,10 +127,7 @@ def test_mandatory_membership_budget_and_order(n_cands, k, seed, policy):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
     q = q if np.linalg.norm(q) > 1e-6 else np.ones(4)
-    cands = [
-        ChunkRepr(0, 0, i, rng.normal(size=4), rng.normal(size=4))
-        for i in range(1, n_cands + 1)
-    ]
+    cands = rng.normal(size=(n_cands, 2, 4))[:, 0]  # chunk i's vector is row i - 1
     first, last = 0, n_cands + 1
     sel = select(q, cands, first, last, k, policy=policy, rng=np.random.default_rng(seed))
     assert first in sel.chunks
@@ -142,7 +143,7 @@ def test_mandatory_membership_budget_and_order(n_cands, k, seed, policy):
 def test_topk_invariant_under_positive_query_scaling(seed, scale):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
-    cands = [ChunkRepr(0, 0, i, rng.normal(size=4), rng.normal(size=4)) for i in range(1, 9)]
+    cands = rng.normal(size=(8, 2, 4))[:, 0]  # chunk i's vector is row i - 1
     a = select(q, cands, 0, 9, 4)
     b = select(q * scale, cands, 0, 9, 4)
     assert a.chunks == b.chunks
@@ -154,15 +155,35 @@ def test_raising_a_selected_chunks_score_never_evicts_it(seed):
     rng = np.random.default_rng(seed)
     q = rng.normal(size=4)
     q = q if np.linalg.norm(q) > 1e-6 else np.ones(4)
-    cands = [ChunkRepr(0, 0, i, rng.normal(size=4), rng.normal(size=4)) for i in range(1, 9)]
+    cands = rng.normal(size=(8, 2, 4))[:, 0]  # chunk i's vector is row i - 1
     sel = select(q, cands, 0, 9, 4)
     picked = [c for c in sel.chunks if c not in (0, 9)]
     if not picked:
         return
     target = picked[0]
-    boosted = [
-        ChunkRepr(0, 0, r.chunk, r.c + (5.0 * q / np.dot(q, q) if r.chunk == target else 0.0), r.q_c)
-        for r in cands
-    ]
+    boosted = cands.copy()
+    boosted[target - 1] += 5.0 * q / np.dot(q, q)
     sel2 = select(q, boosted, 0, 9, 4)
     assert target in sel2.chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.one_of(
+        st.tuples(st.integers(0, 12)),
+        st.tuples(st.integers(1, 3), st.integers(0, 12)),
+        st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(0, 12)),
+    ),
+)
+def test_rank_top_ties_go_to_lower_position(data, shape):
+    # small integer values make ties the common case
+    values = data.draw(st.lists(st.integers(-3, 3), min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))))
+    scores = np.array(values, dtype=np.float64).reshape(shape)
+    # a limit of 1 sends every 1-D ranking through the partition path
+    for limit in (1, selection.PARTITION_MIN):
+        with mock.patch.object(selection, "PARTITION_MIN", limit):
+            for take in range(shape[-1] + 2):
+                expected = np.argsort(-scores, axis=-1, kind="stable")[..., :take]
+                np.testing.assert_array_equal(rank_top(scores, take), expected)

@@ -34,7 +34,6 @@ from .model import (
 )
 from .remapping import PositionMap, remap
 from .representation import (
-    ChunkRepr,
     chunk_query,
     chunk_representation,
     mean_pool_baseline,
@@ -44,7 +43,6 @@ from .trace import SelectionTrace
 
 __all__ = [
     "ChunkLayout",
-    "ChunkRepr",
     "ChunkStore",
     "Engine",
     "EngineConfig",

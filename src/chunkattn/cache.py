@@ -38,7 +38,7 @@ class _Slab:
     """One sealed chunk's K/V rows, resident either as arrays or as bytes.
 
     Residency changes go through ChunkStore._offload / _promote, which keep
-    the store's hot-token count and hot-slab sets in step.
+    the store's hot-token count in step.
     """
 
     __slots__ = ("rows", "dim", "k", "v", "k_bytes", "v_bytes", "hot", "stamp")
@@ -85,7 +85,6 @@ class ChunkStore:
         self.chunk_size = chunk_size
         self.working_set_tokens = working_set_tokens
         self._slabs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._hot_slabs = [[set() for _ in range(n_heads)] for _ in range(n_layers)]
         self._reprs = [[np.empty((0, d_head)) for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_q = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_k = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
@@ -126,33 +125,30 @@ class ChunkStore:
         self.budget = budget
         for layer in range(self.n_layers):
             for head in range(self.n_heads):
+                slabs = self._slabs[layer][head]
                 if mode == "offload":
-                    for slab in list(self._hot_slabs[layer][head]):
-                        self._offload(layer, head, slab)
+                    for slab in slabs:
+                        if slab.hot:
+                            self._offload(slab)
                 elif mode == "hot":
-                    for slab in self._slabs[layer][head]:
+                    for slab in slabs:
                         if not slab.hot:
-                            self._promote(layer, head, slab, *slab.fetch())
+                            self._promote(slab, *slab.fetch())
                 else:
-                    self._evict_over_budget(layer, head)
+                    self._evict_over_budget(slabs)
         self._note_hot_level()
 
-    def _evict_over_budget(self, layer: int, head: int) -> None:
-        """Offload least-recently-gathered slabs until the (layer, head)
-        holds at most `budget` hot rows; costs O(hot slabs), not O(m)."""
-        hot = self._hot_slabs[layer][head]
+    def _evict_over_budget(self, slabs) -> None:
+        hot = [s for s in slabs if s.hot]
         hot_tokens = sum(s.rows for s in hot)
-        if hot_tokens <= self.budget:
-            return
-        for victim in sorted(hot, key=lambda s: s.stamp):
-            if hot_tokens <= self.budget:
-                break
-            self._offload(layer, head, victim)
+        hot.sort(key=lambda s: s.stamp)
+        while hot and hot_tokens > self.budget:
+            victim = hot.pop(0)
+            self._offload(victim)
             hot_tokens -= victim.rows
 
-    def _offload(self, layer: int, head: int, slab: _Slab) -> None:
+    def _offload(self, slab: _Slab) -> None:
         """Move a hot slab to the byte tier."""
-        self._hot_slabs[layer][head].remove(slab)
         slab.k_bytes = slab.k.tobytes()
         slab.v_bytes = slab.v.tobytes()
         slab.k = None
@@ -160,9 +156,8 @@ class ChunkStore:
         slab.hot = False
         self._hot_level -= slab.rows
 
-    def _promote(self, layer: int, head: int, slab: _Slab, k: np.ndarray, v: np.ndarray) -> None:
+    def _promote(self, slab: _Slab, k: np.ndarray, v: np.ndarray) -> None:
         """Make an offloaded slab hot again with its fetched arrays."""
-        self._hot_slabs[layer][head].add(slab)
         self._hot_level += slab.rows
         slab.k = k
         slab.v = v
@@ -199,18 +194,17 @@ class ChunkStore:
             c, weights = chunk_representation(q_c, K, return_weights=True)
             self.weight_records.append(weights_record(layer, head, chunk_id, weights))
         else:
-            c = build_chunk_repr(layer, head, chunk_id, Q, K, V).c
+            c = build_chunk_repr(layer, head, chunk_id, Q, K, V)
         self._write_repr(layer, head, chunk_id, c)
         self._clock += 1
         slab = _Slab(K, V, stamp=self._clock)
         slabs = self._slabs[layer][head]
         slabs.append(slab)
-        self._hot_slabs[layer][head].add(slab)
         self._hot_level += slab.rows
         if self.mode == "offload":
-            self._offload(layer, head, slab)
+            self._offload(slab)
         elif self.mode == "budget":
-            self._evict_over_budget(layer, head)
+            self._evict_over_budget(slabs)
         self._note_hot_level()
 
     def _write_repr(self, layer: int, head: int, chunk_id: int, c: np.ndarray) -> None:
@@ -321,12 +315,12 @@ class ChunkStore:
                 self.tokens_loaded_this_step += slab.rows
                 self.tokens_loaded_total += slab.rows
                 if self.mode == "budget":
-                    self._promote(layer, head, slab, k, v)
+                    self._promote(slab, k, v)
             ks.append(k)
             vs.append(v)
         if self.mode == "budget":
             # evict once per gather so the working set cannot thrash itself
-            self._evict_over_budget(layer, head)
+            self._evict_over_budget(slabs)
         counts = [self.chunk_size] * len(ids)
         if include_recent and self._recent_k[layer][head]:
             _, rk, rv = self.recent_states(layer, head)

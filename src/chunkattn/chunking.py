@@ -36,12 +36,15 @@ class ChunkLayout:
         """Total chunks, counting a partial tail."""
         return self.m_complete + (1 if self.tail_len else 0)
 
+    def span(self, cid: int) -> tuple:
+        """Half-open (start, end) token range of chunk `cid`."""
+        l = self.chunk_size
+        return cid * l, min((cid + 1) * l, self.n)
+
     @cached_property
     def bounds(self) -> tuple:
         """Half-open (start, end) token ranges, one per chunk."""
-        l = self.chunk_size
-        spans = [(i * l, min((i + 1) * l, self.n)) for i in range(self.m)]
-        return tuple(spans)
+        return tuple(self.span(i) for i in range(self.m))
 
     def chunk_of(self, token_index: int) -> int:
         if not 0 <= token_index < self.n:

@@ -50,13 +50,13 @@ def remap(
     """
     if recent_len < 0:
         raise ValueError(f"recent_len={recent_len} must be >= 0")
-    l, n, m = layout.chunk_size, layout.n, layout.m
+    n, m = layout.n, layout.m
     segments = []
     cursor = 0
     for cid in selection.chunks:
         if not 0 <= cid < m:
             raise ValueError(f"chunk {cid} outside layout with {m} chunks")
-        start, end = cid * l, min((cid + 1) * l, n)
+        start, end = layout.span(cid)
         length = end - start
         segments.append(Segment(cid, (start, end), (cursor, cursor + length)))
         cursor += length

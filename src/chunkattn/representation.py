@@ -10,20 +10,10 @@ position-free so selected chunks can be remapped later.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import attend, softmax
-
-
-@dataclass(frozen=True)
-class ChunkRepr:
-    layer: int
-    head: int
-    chunk: int
-    c: np.ndarray
-    q_c: np.ndarray
 
 
 def _check_chunk_states(name: str, mat: np.ndarray) -> np.ndarray:
@@ -69,14 +59,12 @@ def mean_pool_baseline(K: np.ndarray) -> np.ndarray:
     return K.mean(axis=0)
 
 
-def build_chunk_repr(layer: int, head: int, chunk: int, Q, K, V) -> ChunkRepr:
-    q_c = chunk_query(Q, K, V)
-    c = chunk_representation(q_c, K)
+def build_chunk_repr(layer: int, head: int, chunk: int, Q, K, V) -> np.ndarray:
+    """Representation vector of one sealed chunk of (layer, head)."""
+    c = chunk_representation(chunk_query(Q, K, V), K)
     if not np.isfinite(c).all():
         raise FloatingPointError(f"non-finite representation for chunk {chunk}")
-    c.flags.writeable = False
-    q_c.flags.writeable = False
-    return ChunkRepr(layer=layer, head=head, chunk=chunk, c=c, q_c=q_c)
+    return c
 
 
 def weights_record(layer: int, head: int, chunk: int, weights: np.ndarray) -> dict:

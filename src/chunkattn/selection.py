@@ -6,8 +6,8 @@ ablation). The remaining budget goes to the candidates with the highest
 dot-product score against the query, or to the ablation variant's picks.
 
 Candidates arrive as one contiguous (C, d) slice of a head's
-representation matrix, so scoring is a single matmul and ranking a
-partition; nothing per candidate runs in Python.
+representation matrix, so scoring is a single matmul and ranking one
+stable sort; nothing per candidate runs in Python.
 """
 
 from __future__ import annotations
@@ -40,27 +40,10 @@ class SelectionSet:
             raise ValueError(f"chunk ids must be strictly ascending, got {self.chunks}")
 
 
-# Below this many candidates a full stable sort is cheaper than partitioning
-# (numpy 2.4 on a Xeon: sort wins at 256 scores, partition from about 400).
-PARTITION_MIN = 384
-
-
 def rank_top(scores: np.ndarray, take: int) -> np.ndarray:
     """Positions of the `take` best scores along the last axis; ties go to
-    the lower position. Leading axes are treated as batch dimensions.
-
-    A long 1-D ranking partitions instead of sorting. The partition is
-    kept only when exactly `take` scores reach its smallest member, so no
-    tie straddles the cut; the `take` winners are then ordered by score and
-    position. A straddling tie (or a NaN) falls back to the stable sort.
-    """
-    n = scores.shape[-1]
-    take = max(0, min(take, n))
-    if scores.ndim == 1 and n >= PARTITION_MIN and 0 < take < n:
-        top = np.argpartition(scores, n - take)[n - take :]
-        vals = scores[top]
-        if np.count_nonzero(scores >= vals.min()) == take:
-            return top[np.lexsort((top, -vals))]
+    the lower position. Leading axes are treated as batch dimensions."""
+    take = max(0, min(take, scores.shape[-1]))
     order = np.argsort(-scores, axis=-1, kind="stable")
     return order[..., :take]
 

@@ -244,7 +244,3 @@ def test_hot_level_counter_matches_recount(ops, mode, seed):
             store.set_residency(op[1], op[2] if op[1] == "budget" else None)
         assert store._hot_level == store.hot_tokens()
         assert store.peak_hot_tokens == reference["peak"]
-        for layer in range(2):
-            for head in range(2):
-                hot = {s for s in store._slabs[layer][head] if s.hot}
-                assert store._hot_slabs[layer][head] == hot

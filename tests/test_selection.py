@@ -1,10 +1,9 @@
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chunkattn import SelectionSet, apply_head_constraints, select, selection
+from chunkattn import SelectionSet, apply_head_constraints, select
 from chunkattn.selection import rank_top
 
 
@@ -181,9 +180,10 @@ def test_rank_top_ties_go_to_lower_position(data, shape):
     values = data.draw(st.lists(st.integers(-3, 3), min_size=int(np.prod(shape)),
                                 max_size=int(np.prod(shape))))
     scores = np.array(values, dtype=np.float64).reshape(shape)
-    # a limit of 1 sends every 1-D ranking through the partition path
-    for limit in (1, selection.PARTITION_MIN):
-        with mock.patch.object(selection, "PARTITION_MIN", limit):
-            for take in range(shape[-1] + 2):
-                expected = np.argsort(-scores, axis=-1, kind="stable")[..., :take]
-                np.testing.assert_array_equal(rank_top(scores, take), expected)
+    for take in range(shape[-1] + 2):
+        got = rank_top(scores, take)
+        np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[..., :take])
+        for batch in np.ndindex(shape[:-1]):
+            row = scores[batch]
+            expected = sorted(range(len(row)), key=lambda i: (-row[i], i))[:take]
+            assert list(got[batch]) == expected

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cache import ChunkStore
 from .chunking import ChunkLayout, advance
-from .config import CONSTRAINT_POLICIES, EngineConfig, ModelConfig, validate_pairing
+from .config import CONSTRAINT_POLICIES, EngineConfig, validate_pairing
 from .model import (
     HostModel,
     TokenSequence,
@@ -107,6 +107,7 @@ class Engine:
         self.record_scores = record_scores
         self.last_logits: np.ndarray | None = None
         self._layer0_encode_ids: dict[int, np.ndarray] = {}
+        self._failure: str | None = None
 
     # -- encoding ----------------------------------------------------------
 
@@ -118,90 +119,105 @@ class Engine:
         n = toks.size
         if n == 0:
             raise ValueError("cannot encode an empty sequence")
+        self._check_not_failed()
         if self.layout is not None:
             raise RuntimeError("engine already holds an encoded sequence")
         self.layout = ChunkLayout(n, cfg.chunk_size)
         self.trace.meta["n"] = n
-        bounds = self.layout.bounds
-        l = cfg.chunk_size
-        H, d = mc.n_heads, mc.d_head
-        rope = self.model.rope
         h = self.model.embed[toks]
-        max_pos = -1
         for layer in range(mc.n_layers):
             x = rms_norm(h)
             Q, K, V = self.model.project_heads(layer, x)
-            for head in range(H):
-                self.store.bulk_append(layer, head, Q[head], K[head], V[head])
-            reprs = np.stack([self.store.repr_matrix(layer, head) for head in range(H)])
-            attn = np.empty_like(Q)
-            for c, (start, end) in enumerate(bounds):
-                l_c = end - start
-                q_blk, k_blk, v_blk = Q[:, start:end], K[:, start:end], V[:, start:end]
-                if c == 0:
-                    pos = np.arange(l_c)
-                    mask = causal_mask(l_c, l_c)
-                    for head in range(H):
-                        attn[head, start:end] = attend(
-                            rope.apply(q_blk[head], pos),
-                            rope.apply(k_blk[head], pos),
-                            v_blk[head],
-                            mask,
-                        )
-                    self._record_block(layer, start, l_c, None, None)
-                    self._note_encode_window(l_c)
-                    max_pos = max(max_pos, l_c - 1)
-                    continue
-                ids, diag = self._encode_selection_ids(layer, c, l_c, start, reprs, q_blk)
-                n_sel = ids.shape[-1]
-                span = n_sel * l
-                pos_sel = np.arange(span)
-                pos_own = span + np.arange(l_c)
-                mask = causal_mask(l_c, l_c)
-                for head in range(H):
-                    row_idx = (ids[head, :, :, None] * l + np.arange(l)).reshape(l_c, span)
-                    k_sel = rope.apply(K[head][row_idx], pos_sel)
-                    v_sel = V[head][row_idx]
-                    q_rot = rope.apply(q_blk[head], pos_own)
-                    k_own = rope.apply(k_blk[head], pos_own)
-                    s_sel = np.einsum("td,tsd->ts", q_rot, k_sel) / np.sqrt(d)
-                    s_own = (q_rot @ k_own.T) / np.sqrt(d) + mask
-                    w = softmax(np.concatenate([s_sel, s_own], axis=1))
-                    attn[head, start:end] = (
-                        np.einsum("ts,tsd->td", w[:, :span], v_sel) + w[:, span:] @ v_blk[head]
-                    )
-                self._record_block(layer, start, l_c, ids, diag)
-                self._note_encode_window(span + l_c)
-                max_pos = max(max_pos, span + l_c - 1)
+            attn = self._encode_layer(layer, Q, K, V)
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
         logits = self.model.logits_from_hidden(h)
         self.last_logits = logits[-1]
         self.counters.encode_tokens = n
-        self.counters.encode_max_rotary_position = max_pos
         return logits
 
+    def _encode_layer(self, layer, Q, K, V) -> np.ndarray:
+        """One layer's chunked attention over the whole prompt, (H, n, d_head).
+
+        Selection runs for every chunk first, so the trace keeps chunk order.
+        Attention then runs one head at a time over a slot table: every
+        complete chunk's keys rotated once per slot position s*l + r. A token's
+        selected keys are a gather from that table, so each chunk is rotated
+        once per slot rather than once per token that selects it. The table
+        and the gathered rows are freed when this returns, before the MLP.
+        """
+        l = self.config.chunk_size
+        H, d = self.model.config.n_heads, self.model.config.d_head
+        rope = self.model.rope
+        bounds = self.layout.bounds
+        for head in range(H):
+            self.store.bulk_append(layer, head, Q[head], K[head], V[head])
+        reprs = np.stack([self.store.repr_matrix(layer, head) for head in range(H)])
+        block_ids = [None]
+        self._record_block(layer, 0, bounds[0][1], None, None)
+        self._note_encode_window(bounds[0][1])
+        for c, (start, end) in enumerate(bounds[1:], 1):
+            l_c = end - start
+            ids, diag = self._encode_selection_ids(layer, c, l_c, start, reprs, Q[:, start:end])
+            self._record_block(layer, start, l_c, ids, diag)
+            self._note_encode_window(ids.shape[-1] * l + l_c)
+            block_ids.append(ids)
+        # Build slots only up to the widest selection made, never a fixed k.
+        n_slots = max((ids.shape[-1] for ids in block_ids[1:]), default=0)
+        n_full = self.layout.m_complete * l
+        full_mask = causal_mask(l, l)
+        attn = np.empty_like(Q)
+        for head in range(H):
+            k_chunks = K[head, :n_full].reshape(-1, l, d)
+            v_chunks = V[head, :n_full].reshape(-1, l, d)
+            table = np.empty((n_slots,) + k_chunks.shape)
+            for s in range(n_slots):
+                table[s] = rope.apply(k_chunks, s * l + np.arange(l))
+            for (start, end), ids in zip(bounds, block_ids):
+                l_c = end - start
+                q_blk, k_blk, v_blk = Q[head, start:end], K[head, start:end], V[head, start:end]
+                mask = full_mask[:l_c, :l_c]
+                if ids is None:
+                    pos = np.arange(l_c)
+                    attn[head, start:end] = attend(
+                        rope.apply(q_blk, pos), rope.apply(k_blk, pos), v_blk, mask
+                    )
+                    continue
+                n_sel = ids.shape[-1]
+                span = n_sel * l
+                k_sel = table[np.arange(n_sel), ids[head]].reshape(l_c, span, d)
+                v_sel = v_chunks[ids[head]].reshape(l_c, span, d)
+                pos_own = span + np.arange(l_c)
+                q_rot = rope.apply(q_blk, pos_own)
+                k_own = rope.apply(k_blk, pos_own)
+                s_sel = np.einsum("td,tsd->ts", q_rot, k_sel) / np.sqrt(d)
+                s_own = (q_rot @ k_own.T) / np.sqrt(d) + mask
+                w = softmax(np.concatenate([s_sel, s_own], axis=1))
+                attn[head, start:end] = (
+                    np.einsum("ts,tsd->td", w[:, :span], v_sel) + w[:, span:] @ v_blk
+                )
+        return attn
+
     def _note_encode_window(self, rows: int) -> None:
-        if rows > self.counters.encode_max_attended_rows:
-            self.counters.encode_max_attended_rows = rows
+        """A block attending `rows` rows lays them out at positions 0..rows-1."""
+        counters = self.counters
+        if rows > counters.encode_max_attended_rows:
+            counters.encode_max_attended_rows = rows
+            counters.encode_max_rotary_position = rows - 1
 
     def _record_block(self, layer, token0, l_c, ids, diag) -> None:
         H = self.model.config.n_heads
+        chunks = [[()] * l_c] * H if ids is None else ids.tolist()
+        if diag is None:
+            cand_ids, scores = None, [[None] * l_c] * H
+        else:
+            cand_ids = diag[0]
+            scores = [[tuple(row) for row in rows] for rows in diag[1].tolist()]
         for j in range(l_c):
             for head in range(H):
-                chunks = () if ids is None else tuple(int(v) for v in ids[head, j])
-                if diag is not None:
-                    cand_ids, scores = diag
-                    self.trace.append(
-                        token0 + j,
-                        layer,
-                        head,
-                        chunks,
-                        candidates=cand_ids,
-                        scores=tuple(float(s) for s in scores[head, j]),
-                    )
-                else:
-                    self.trace.append(token0 + j, layer, head, chunks)
+                self.trace.append(
+                    token0 + j, layer, head, chunks[head][j], cand_ids, scores[head][j]
+                )
 
     def _encode_selection_ids(self, layer, c, l_c, token0, reprs, q_blk):
         """Per-token selected chunk ids for one chunk's queries.
@@ -277,6 +293,7 @@ class Engine:
         """Greedy-decode `steps` tokens after encode()."""
         if sampler != "greedy":
             raise ValueError(f"unsupported sampler {sampler!r}")
+        self._check_not_failed()
         if self.last_logits is None:
             raise RuntimeError("encode a prompt before generating")
         out = []
@@ -284,9 +301,20 @@ class Engine:
         for _ in range(steps):
             token = int(np.argmax(logits))
             out.append(token)
-            logits = self._decode_token(token)
+            step = self.layout.n
+            try:
+                logits = self._decode_token(token)
+            except BaseException as exc:
+                # Layers before the failing one have already appended this
+                # token's K/V, so the store no longer matches the layout.
+                self._failure = f"decode step {step} raised {exc!r}"
+                raise
         self.last_logits = logits
         return TokenSequence(tuple(out))
+
+    def _check_not_failed(self) -> None:
+        if self._failure is not None:
+            raise RuntimeError(f"engine is unusable: {self._failure}")
 
     def _decode_token(self, token: int) -> np.ndarray:
         mc = self.model.config

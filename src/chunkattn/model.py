@@ -194,13 +194,6 @@ class HostModel:
 
         return split(lw.wq), split(lw.wk), split(lw.wv)
 
-    def apply_rotary(self, states: np.ndarray, positions) -> np.ndarray:
-        return self.rope.apply(states, positions)
-
-    def embed_tokens(self, tokens) -> np.ndarray:
-        toks = as_token_array(tokens, self.config.vocab_size)
-        return self.embed[toks]
-
     def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
         return rms_norm(hidden) @ self.w_out
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chunkattn import (
     Engine,
@@ -11,6 +12,8 @@ from chunkattn import (
 )
 
 from conftest import random_tokens
+
+POLICIES = ["top-k", "random", "last-k", "no-first", "fix-head", "fix-layer", "fix-head-and-layer"]
 
 
 def make_engine(model, l=32, k=4, policy="top-k", seed=11, **kw):
@@ -300,8 +303,7 @@ def test_residency_modes_give_identical_outputs(tiny_model):
     assert budget[2] == 4816  # pins the least-recently-gathered eviction order
 
 
-@pytest.mark.parametrize("policy", ["top-k", "random", "last-k", "no-first",
-                                    "fix-head", "fix-layer", "fix-head-and-layer"])
+@pytest.mark.parametrize("policy", POLICIES)
 def test_prefill_matches_one_decode_step(tiny_model, policy):
     l, k = 16, 4
     for n in (200, 207, 208, 599):
@@ -313,3 +315,72 @@ def test_prefill_matches_one_decode_step(tiny_model, policy):
         engine.generate(1)
         prefill = make_engine(tiny_model, l=l, k=k, policy=policy).encode(toks)[-1]
         assert np.max(np.abs(engine.last_logits - prefill)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    policy=st.sampled_from(POLICIES),
+    l=st.sampled_from([8, 16]),
+    k=st.integers(2, 5),
+    extra=st.integers(1, 400),
+    seed=st.integers(0, 1000),
+)
+def test_prefill_matches_one_decode_step_for_any_length(tiny_model, policy, l, k, extra, seed):
+    # n > k*l: the prefill's last chunk selects k chunks, filling every slot
+    n = k * l + extra
+    toks = random_tokens(n + 1, seed=seed)
+    engine = make_engine(tiny_model, l=l, k=k, policy=policy)
+    engine.encode(toks[:n])
+    toks[n] = int(np.argmax(engine.last_logits))
+    engine.generate(1)
+    prefill = make_engine(tiny_model, l=l, k=k, policy=policy).encode(toks)[-1]
+    assert np.max(np.abs(engine.last_logits - prefill)) < 1e-12
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_encode_rotates_each_chunk_once_per_slot(tiny_config, policy):
+    model = build_model(tiny_config)
+    rotate = model.rope.apply
+    rows = []
+
+    def counting_apply(states, positions):
+        rows.append(np.asarray(states).size // model.config.d_head)
+        return rotate(states, positions)
+
+    model.rope.apply = counting_apply
+    L, H = tiny_config.n_layers, tiny_config.n_heads
+    l, k = 16, 4
+    for n in (9 * l, 9 * l + 5):  # m = 9 and 10 chunks, both > k
+        rows.clear()
+        make_engine(model, l=l, k=k, policy=policy).encode(random_tokens(n))
+        # k slots of every complete chunk's keys, plus each token's query
+        # and own-chunk key once
+        assert sum(rows) == L * H * (k * (n // l) * l + 2 * n)
+        if n % l == 0:
+            assert sum(rows) == L * H * (k + 2) * n
+
+
+def test_failed_decode_step_leaves_engine_unusable(tiny_config):
+    model = build_model(tiny_config)
+    engine = make_engine(model, l=16, k=4)
+    engine.encode(random_tokens(100))
+    engine.generate(2)
+    mlp = model.mlp
+    failures = []
+
+    def mlp_failing_once_in_layer_1(layer, h):
+        if layer == 1 and not failures:
+            failures.append(layer)
+            raise FloatingPointError("injected")
+        return mlp(layer, h)
+
+    model.mlp = mlp_failing_once_in_layer_1
+    with pytest.raises(FloatingPointError):
+        engine.generate(3)
+    # layer 0 stored step 102's K/V before layer 1 failed: the store is ahead
+    assert engine.store.recent_len(0, 0) == engine.store.recent_len(1, 0) + 1
+    assert engine.layout.n == 102
+    with pytest.raises(RuntimeError, match="decode step 102"):
+        engine.generate(1)
+    with pytest.raises(RuntimeError, match="decode step 102"):
+        engine.encode(random_tokens(10))

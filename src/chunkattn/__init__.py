@@ -24,13 +24,11 @@ from .chunking import ChunkLayout, advance, layout
 from .config import EngineConfig, ModelConfig, SELECTION_POLICIES, validate_pairing
 from .engine import Engine, OracleDecoder
 from .model import (
-    HeadStates,
     HostModel,
     RotaryTable,
     TokenSequence,
     build_model,
     full_attention_forward,
-    project_qkv,
 )
 from .remapping import PositionMap, remap
 from .representation import (
@@ -46,7 +44,6 @@ __all__ = [
     "ChunkStore",
     "Engine",
     "EngineConfig",
-    "HeadStates",
     "HostModel",
     "MetricsReport",
     "ModelConfig",
@@ -71,7 +68,6 @@ __all__ = [
     "hit_rate",
     "layout",
     "mean_pool_baseline",
-    "project_qkv",
     "remap",
     "retrieval_rate",
     "run_passkey_trials",

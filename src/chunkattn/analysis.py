@@ -50,8 +50,7 @@ def cover_rate(trace: SelectionTrace, m: int) -> float:
         raise ValueError(f"m={m} must be positive")
     if len(trace) == 0:
         raise ValueError("empty trace")
-    covered = {cid for cid in trace.chunk_union() if 0 <= cid < m}
-    return len(covered) / m
+    return np.count_nonzero(trace.selection_counts(m)) / m
 
 
 def gini(counts) -> float:
@@ -122,7 +121,9 @@ def retrieval_rate(trace: SelectionTrace, target: int) -> float:
     """Fraction of records whose selected set contains the target chunk."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    return sum(1 for rec in trace if target in rec.chunks) / len(trace)
+    ids = trace.chunk_ids
+    selected = np.arange(ids.shape[1]) < trace.width[:, None]
+    return np.count_nonzero(((ids == target) & selected).any(axis=1)) / len(trace)
 
 
 def export_heatmap(trace: SelectionTrace, path) -> None:
@@ -131,20 +132,21 @@ def export_heatmap(trace: SelectionTrace, path) -> None:
     m = trace.meta.get("m")
     if m is None:
         raise ValueError("trace metadata lacks 'm' (total chunk count)")
-    cells: dict[tuple, np.ndarray] = {}
-    for rec in trace:
-        key = (rec.layer, rec.head)
-        if key not in cells:
-            cells[key] = np.zeros(m, dtype=np.int64)
-        for cid in rec.chunks:
-            if 0 <= cid < m:
-                cells[key][cid] += 1
+    # Number each (layer, head) by layer * span + head - lo, which sorts the
+    # units present by (layer, head), then count every valid id per unit.
+    layer, head = trace.layer, trace.head
+    lo = int(head.min(initial=0))
+    span = int(head.max(initial=0)) - lo + 1
+    units, unit_of = np.unique(layer * span + head - lo, return_inverse=True)
+    ids = trace.chunk_ids
+    keys = (unit_of.reshape(-1, 1) * m + ids)[(ids >= 0) & (ids < m)]
+    cells = np.bincount(keys, minlength=units.size * m).reshape(units.size, m)
     path = str(path)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["layer", "head"] + [f"c{i}" for i in range(m)])
-        for layer, head in sorted(cells):
-            writer.writerow([layer, head] + cells[(layer, head)].tolist())
+        for unit, row in zip(units.tolist(), cells.tolist()):
+            writer.writerow([unit // span, unit % span + lo] + row)
     with open(path + ".meta.json", "w") as f:
         json.dump(trace.meta, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -46,11 +46,6 @@ class ChunkLayout:
         """Half-open (start, end) token ranges, one per chunk."""
         return tuple(self.span(i) for i in range(self.m))
 
-    def chunk_of(self, token_index: int) -> int:
-        if not 0 <= token_index < self.n:
-            raise ValueError(f"token index {token_index} out of range [0, {self.n})")
-        return token_index // self.chunk_size
-
 
 def layout(n: int, chunk_size: int) -> ChunkLayout:
     return ChunkLayout(n=n, chunk_size=chunk_size)

@@ -124,14 +124,19 @@ class Engine:
             raise RuntimeError("engine already holds an encoded sequence")
         self.layout = ChunkLayout(n, cfg.chunk_size)
         self.trace.meta["n"] = n
-        h = self.model.embed[toks]
-        for layer in range(mc.n_layers):
-            x = rms_norm(h)
-            Q, K, V = self.model.project_heads(layer, x)
-            attn = self._encode_layer(layer, Q, K, V)
-            h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
-            h = self.model.mlp(layer, h)
-        logits = self.model.logits_from_hidden(h)
+        try:
+            h = self.model.embed[toks]
+            for layer in range(mc.n_layers):
+                x = rms_norm(h)
+                Q, K, V = self.model.project_heads(layer, x)
+                attn = self._encode_layer(layer, Q, K, V)
+                h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
+                h = self.model.mlp(layer, h)
+            logits = self.model.logits_from_hidden(h)
+        except BaseException as exc:
+            # The layout is set and the store and trace hold some layers.
+            self._failure = f"encode of {n} tokens raised {exc!r}"
+            raise
         self.last_logits = logits[-1]
         self.counters.encode_tokens = n
         return logits
@@ -206,18 +211,25 @@ class Engine:
             counters.encode_max_rotary_position = rows - 1
 
     def _record_block(self, layer, token0, l_c, ids, diag) -> None:
+        """Trace one chunk's (H, l_c, n_sel) ids as l_c * H rows, token-major."""
         H = self.model.config.n_heads
-        chunks = [[()] * l_c] * H if ids is None else ids.tolist()
-        if diag is None:
-            cand_ids, scores = None, [[None] * l_c] * H
-        else:
-            cand_ids = diag[0]
-            scores = [[tuple(row) for row in rows] for rows in diag[1].tolist()]
-        for j in range(l_c):
-            for head in range(H):
-                self.trace.append(
-                    token0 + j, layer, head, chunks[head][j], cand_ids, scores[head][j]
-                )
+        rows = l_c * H
+        if ids is None:
+            ids = np.zeros((H, l_c, 0), dtype=np.int64)
+        candidates = scores = None
+        if diag is not None:
+            cand_ids, score_mat = diag
+            candidates = [cand_ids] * rows
+            by_row = score_mat.transpose(1, 0, 2).reshape(rows, score_mat.shape[-1])
+            scores = [tuple(row) for row in by_row.tolist()]
+        self.trace.append_block(
+            np.repeat(np.arange(token0, token0 + l_c), H),
+            layer,
+            np.tile(np.arange(H), l_c),
+            ids.transpose(1, 0, 2).reshape(rows, ids.shape[-1]),
+            candidates,
+            scores,
+        )
 
     def _encode_selection_ids(self, layer, c, l_c, token0, reprs, q_blk):
         """Per-token selected chunk ids for one chunk's queries.

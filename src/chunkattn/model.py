@@ -123,17 +123,6 @@ class TokenSequence:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
-class HeadStates:
-    """Unrotated per-head projection of a block of hidden states."""
-
-    layer: int
-    head: int
-    Q: np.ndarray
-    K: np.ndarray
-    V: np.ndarray
-
-
 @dataclass
 class LayerWeights:
     wq: np.ndarray
@@ -228,16 +217,6 @@ def build_model(config: ModelConfig) -> HostModel:
         )
     w_out = rng.normal(0.0, scale, (dm, config.vocab_size))
     return HostModel(config, embed, layers, w_out)
-
-
-def project_qkv(model: HostModel, layer: int, hidden: np.ndarray):
-    """Split one layer's QKV projection of `hidden` into per-head states."""
-    hidden = np.asarray(hidden, dtype=np.float64)
-    Q, K, V = model.project_heads(layer, hidden)
-    return [
-        HeadStates(layer=layer, head=h, Q=Q[h], K=K[h], V=V[h])
-        for h in range(model.config.n_heads)
-    ]
 
 
 def as_token_array(tokens, vocab_size: int) -> np.ndarray:

@@ -19,47 +19,163 @@ class TraceRecord:
 
 
 class SelectionTrace:
-    """Append-only selection log; one record per (step, layer, head)."""
+    """Append-only selection log; one row per (step, layer, head).
+
+    Rows are stored as columns: step, layer, head and width in one (R, 4)
+    int matrix, and the selected chunk ids in an (R, K) matrix padded with
+    -1, where K is the widest selection seen. Per-row candidates and scores
+    are kept as lists only once some row records them. `records` rebuilds
+    `TraceRecord` objects on demand.
+
+    Single-row `append`s, one per (layer, head) in each decode step, wait
+    in a list and move into the columns at the next read or block write.
+    """
 
     def __init__(self, meta: dict | None = None):
-        self.records: list[TraceRecord] = []
         self.meta = dict(meta or {})
+        self._n = 0
+        self._k = 0
+        self._cols = np.empty((0, 4), dtype=np.int64)
+        self._ids = np.empty((0, 0), dtype=np.int64)
+        self._candidates: list | None = None
+        self._scores: list | None = None
+        self._pending: list = []
+
+    def _reserve(self, rows: int, width: int) -> None:
+        """Make room for `rows` rows of up to `width` ids, doubling each
+        capacity when it runs out."""
+        cap, k_cap = self._ids.shape
+        if rows <= cap and width <= k_cap:
+            return
+        cap = max(8, 2 * cap, rows) if rows > cap else cap
+        k_cap = max(2 * k_cap, width) if width > k_cap else k_cap
+        n = self._n
+        ids = np.full((cap, k_cap), -1, dtype=np.int64)
+        ids[:n, : self._k] = self._ids[:n, : self._k]
+        cols = np.empty((cap, 4), dtype=np.int64)
+        cols[:n] = self._cols[:n]
+        self._ids, self._cols = ids, cols
+
+    def _extend_extras(self, count: int, candidates, scores) -> None:
+        """Add `count` rows' candidates and scores: per-row lists, or None
+        when the new rows carry none."""
+        if self._candidates is None:
+            if candidates is None and scores is None:
+                return
+            self._candidates, self._scores = [None] * len(self), [None] * len(self)
+        self._candidates.extend([None] * count if candidates is None else candidates)
+        self._scores.extend([None] * count if scores is None else scores)
 
     def append(self, step, layer, head, chunks, candidates=None, scores=None) -> None:
-        self.records.append(TraceRecord(step, layer, head, tuple(chunks), candidates, scores))
+        if candidates is not None or scores is not None or self._candidates is not None:
+            self._extend_extras(1, [candidates], [scores])
+        self._pending.append((step, layer, head, tuple(chunks)))
+
+    def append_block(self, step, layer, head, ids, candidates=None, scores=None) -> None:
+        """Append len(ids) rows at once. `step`, `layer` and `head` are ints
+        or per-row arrays; `ids` is a (rows, width) id matrix; `candidates`
+        and `scores` are per-row lists or None."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if len(ids) == 0:
+            return
+        self._flush()
+        self._extend_extras(len(ids), candidates, scores)
+        self._write(step, layer, head, ids.shape[1], ids)
+
+    def _flush(self) -> None:
+        """Move the pending single-row appends into the columns."""
+        if not self._pending:
+            return
+        steps, layers, heads, chunks = zip(*self._pending)
+        self._pending = []
+        widths = [len(c) for c in chunks]
+        ids = np.full((len(chunks), max(widths)), -1, dtype=np.int64)
+        for row, c in zip(ids, chunks):
+            row[: len(c)] = c
+        self._write(steps, layers, heads, widths, ids)
+
+    def _write(self, step, layer, head, width, ids) -> None:
+        count, k = ids.shape
+        r = self._n
+        self._reserve(r + count, k)
+        block = self._cols[r : r + count]
+        block[:, 0], block[:, 1], block[:, 2], block[:, 3] = step, layer, head, width
+        self._ids[r : r + count, :k] = ids
+        self._k = max(self._k, k)
+        self._n = r + count
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self._n + len(self._pending)
+
+    @property
+    def layer(self) -> np.ndarray:
+        return self._column(1)
+
+    @property
+    def head(self) -> np.ndarray:
+        return self._column(2)
+
+    @property
+    def width(self) -> np.ndarray:
+        return self._column(3)
+
+    @property
+    def chunk_ids(self) -> np.ndarray:
+        """(R, K) read-only view of the selected ids; row r's first
+        width[r] entries are its selection, the rest are -1."""
+        self._flush()
+        view = self._ids[: self._n, : self._k]
+        view.flags.writeable = False
+        return view
+
+    def _column(self, j: int) -> np.ndarray:
+        self._flush()
+        view = self._cols[: self._n, j]
+        view.flags.writeable = False
+        return view
+
+    def _python_columns(self):
+        """Per-row (step, layer, head, chunk list) as Python objects, each
+        chunk list trimmed to its width."""
+        self._flush()
+        steps, layers, heads, widths = self._cols[: self._n].T.tolist()
+        k = self._k
+        ids = self._ids[: self._n, :k].tolist()
+        chunks = [row if w == k else row[:w] for row, w in zip(ids, widths)]
+        return steps, layers, heads, chunks
+
+    @property
+    def records(self) -> list:
+        """The rows as `TraceRecord`s, built on each access."""
+        steps, layers, heads, chunks = self._python_columns()
+        none = [None] * self._n
+        return [
+            TraceRecord(s, la, h, tuple(c), cand, sc)
+            for s, la, h, c, cand, sc in zip(
+                steps, layers, heads, chunks, self._candidates or none, self._scores or none
+            )
+        ]
 
     def __iter__(self):
         return iter(self.records)
 
-    def chunk_union(self) -> set:
-        seen = set()
-        for rec in self.records:
-            seen.update(rec.chunks)
-        return seen
-
     def selection_counts(self, m: int) -> np.ndarray:
         """Times each chunk id in [0, m) appears in a selection."""
-        counts = np.zeros(m, dtype=np.int64)
-        for rec in self.records:
-            for cid in rec.chunks:
-                if 0 <= cid < m:
-                    counts[cid] += 1
-        return counts
+        ids = self.chunk_ids
+        return np.bincount(ids[(ids >= 0) & (ids < m)], minlength=m)
 
     def to_jsonable(self) -> dict:
-        records = []
-        for rec in self.records:
-            row = [rec.step, rec.layer, rec.head, list(rec.chunks)]
-            if rec.candidates is not None:
-                row.append(list(rec.candidates))
-                row.append([float(s) for s in (rec.scores or ())])
-            records.append(row)
-        return {"meta": self.meta, "records": records}
+        steps, layers, heads, chunks = self._python_columns()
+        rows = [list(row) for row in zip(steps, layers, heads, chunks)]
+        if self._candidates is not None:
+            for row, cand, sc in zip(rows, self._candidates, self._scores):
+                if cand is not None:
+                    row.append(list(cand))
+                    row.append([float(s) for s in (sc or ())])
+        return {"meta": self.meta, "records": rows}
 
     def to_json(self, path) -> None:
+        # json.dumps runs the C encoder; json.dump to a file never does.
+        text = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
         with open(path, "w") as f:
-            json.dump(self.to_jsonable(), f, sort_keys=True, separators=(",", ":"))
-            f.write("\n")
+            f.write(text + "\n")

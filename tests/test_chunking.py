@@ -49,13 +49,6 @@ def test_advance_rejects_non_monotonic():
         advance(lo, 9)
 
 
-def test_chunk_of():
-    lo = layout(10, 4)
-    assert [lo.chunk_of(i) for i in range(10)] == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
-    with pytest.raises(ValueError):
-        lo.chunk_of(10)
-
-
 @given(n=st.integers(1, 500), l=st.integers(1, 64))
 def test_bounds_reconstruct_range(n, l):
     lo = layout(n, l)

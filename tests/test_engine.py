@@ -384,3 +384,25 @@ def test_failed_decode_step_leaves_engine_unusable(tiny_config):
         engine.generate(1)
     with pytest.raises(RuntimeError, match="decode step 102"):
         engine.encode(random_tokens(10))
+
+
+def test_failed_encode_leaves_engine_unusable(tiny_config):
+    model = build_model(tiny_config)
+    engine = make_engine(model, l=16, k=4)
+    mlp = model.mlp
+
+    def mlp_failing_in_layer_1(layer, h):
+        if layer == 1:
+            raise FloatingPointError("injected")
+        return mlp(layer, h)
+
+    model.mlp = mlp_failing_in_layer_1
+    with pytest.raises(FloatingPointError):
+        engine.encode(random_tokens(300))
+    # layer 0 filled the store and the trace before layer 1 failed
+    assert engine.store.sealed_count(0, 0) == 300 // 16
+    model.mlp = mlp
+    with pytest.raises(RuntimeError, match="encode of 300 tokens raised FloatingPointError"):
+        engine.encode(random_tokens(300))
+    with pytest.raises(RuntimeError, match="encode of 300 tokens raised FloatingPointError"):
+        engine.generate(1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chunkattn import ModelConfig, build_model, full_attention_forward, project_qkv
+from chunkattn import ModelConfig, build_model, full_attention_forward
 from chunkattn.model import RotaryTable, rms_norm
 
 from conftest import random_tokens
@@ -25,33 +25,20 @@ def test_weights_are_frozen(tiny_model):
         tiny_model.embed[0, 0] = 1.0
 
 
-def test_project_qkv_shapes(tiny_model):
-    hidden = np.random.default_rng(0).normal(size=(10, tiny_model.config.d_model))
-    states = project_qkv(tiny_model, 0, hidden)
-    assert len(states) == 4
-    for s in states:
-        assert s.Q.shape == (10, 8)
-        assert s.K.shape == (10, 8)
-        assert s.V.shape == (10, 8)
+def test_project_heads_shapes(tiny_model):
+    for tokens in (10, 1):
+        hidden = np.random.default_rng(0).normal(size=(tokens, tiny_model.config.d_model))
+        for states in tiny_model.project_heads(0, hidden):
+            assert states.shape == (4, tokens, 8)
+    for states in tiny_model.project_heads(1, np.zeros((5, tiny_model.config.d_model))):
+        assert np.all(states == 0)
 
 
-def test_project_qkv_zero_hidden(tiny_model):
-    hidden = np.zeros((5, tiny_model.config.d_model))
-    for s in project_qkv(tiny_model, 1, hidden):
-        assert np.all(s.Q == 0) and np.all(s.K == 0) and np.all(s.V == 0)
-
-
-def test_project_qkv_single_token(tiny_model):
-    hidden = np.ones((1, tiny_model.config.d_model))
-    states = project_qkv(tiny_model, 0, hidden)
-    assert states[0].Q.shape == (1, 8)
-
-
-def test_project_qkv_shape_mismatch(tiny_model):
+def test_project_heads_shape_mismatch(tiny_model):
     with pytest.raises(ValueError):
-        project_qkv(tiny_model, 0, np.zeros((4, 7)))
+        tiny_model.project_heads(0, np.zeros((4, 7)))
     with pytest.raises(ValueError):
-        project_qkv(tiny_model, 99, np.zeros((4, tiny_model.config.d_model)))
+        tiny_model.project_heads(99, np.zeros((4, tiny_model.config.d_model)))
 
 
 def test_rotary_position_zero_is_identity():

@@ -25,13 +25,23 @@ def test_weights_are_frozen(tiny_model):
         tiny_model.embed[0, 0] = 1.0
 
 
-def test_project_heads_shapes(tiny_model):
-    for tokens in (10, 1):
-        hidden = np.random.default_rng(0).normal(size=(tokens, tiny_model.config.d_model))
-        for states in tiny_model.project_heads(0, hidden):
-            assert states.shape == (4, tokens, 8)
-    for states in tiny_model.project_heads(1, np.zeros((5, tiny_model.config.d_model))):
+def test_project_qkv_shapes(tiny_model):
+    hidden = np.random.default_rng(0).normal(size=(10, tiny_model.config.d_model))
+    Q, K, V = tiny_model.project_heads(0, hidden)
+    for states in (Q, K, V):
+        assert states.shape == (4, 10, 8)
+
+
+def test_project_qkv_zero_hidden(tiny_model):
+    hidden = np.zeros((5, tiny_model.config.d_model))
+    for states in tiny_model.project_heads(1, hidden):
         assert np.all(states == 0)
+
+
+def test_project_qkv_single_token(tiny_model):
+    hidden = np.ones((1, tiny_model.config.d_model))
+    Q, K, V = tiny_model.project_heads(0, hidden)
+    assert Q.shape == K.shape == V.shape == (4, 1, 8)
 
 
 def test_project_heads_shape_mismatch(tiny_model):

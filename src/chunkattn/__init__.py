@@ -20,7 +20,7 @@ from .analysis import (
     run_passkey_trials,
 )
 from .cache import ChunkStore
-from .chunking import ChunkLayout, advance, layout
+from .chunking import ChunkLayout, advance
 from .config import EngineConfig, ModelConfig, SELECTION_POLICIES, validate_pairing
 from .engine import Engine, OracleDecoder
 from .model import (
@@ -30,13 +30,9 @@ from .model import (
     build_model,
     full_attention_forward,
 )
-from .remapping import PositionMap, remap
-from .representation import (
-    chunk_query,
-    chunk_representation,
-    mean_pool_baseline,
-)
-from .selection import SelectionSet, apply_head_constraints, select
+from .remapping import remap
+from .representation import chunk_query, chunk_representation
+from .selection import select
 from .trace import SelectionTrace
 
 __all__ = [
@@ -49,14 +45,11 @@ __all__ = [
     "ModelConfig",
     "OracleDecoder",
     "PasskeyInstance",
-    "PositionMap",
     "RotaryTable",
     "SELECTION_POLICIES",
-    "SelectionSet",
     "SelectionTrace",
     "TokenSequence",
     "advance",
-    "apply_head_constraints",
     "build_model",
     "build_passkey",
     "chunk_query",
@@ -66,8 +59,6 @@ __all__ = [
     "full_attention_forward",
     "gini",
     "hit_rate",
-    "layout",
-    "mean_pool_baseline",
     "remap",
     "retrieval_rate",
     "run_passkey_trials",

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .representation import chunk_query_batch, chunk_representation_batch
-from .selection import apply_head_constraints, rank_top, select
+from .selection import rank_top, select
 from .trace import SelectionTrace
 
 
@@ -237,36 +237,25 @@ def run_passkey_trial(
     policy: str = "top-k",
     seed: int = 0,
     step: int = 0,
-) -> list:
-    """One selection event per head against the instance's probe queries.
+) -> tuple:
+    """One selection event for every head against the instance's probes.
 
     The harness is a single (layer 0) selection round, so fix-layer is the
     identity here; fix-head and fix-head-and-layer share head 0's picks.
+    Returns the (H, k') selected ids and the (H, m - 2) candidate scores.
     """
     reps = instance_representations(instance)
     first, last = 0, instance.m - 1
-    sets = []
-    for head in range(instance.n_heads):
-        rng = (
-            np.random.default_rng([seed, 0, head, step]) if policy == "random" else None
-        )
-        sel = select(
-            instance.probes[head],
-            reps[head, first + 1 : last],
-            first,
-            last,
-            k,
-            policy=policy,
-            rng=rng,
-            layer=0,
-            head=head,
-            query_token=step,
-        )
-        if head > 0 and policy in ("fix-head", "fix-head-and-layer"):
-            sel = apply_head_constraints(sel, policy, sets[0])
-        trace.append(step, 0, head, sel.chunks, candidates=sel.candidates, scores=sel.scores)
-        sets.append(sel)
-    return sets
+    rngs = None
+    if policy == "random":
+        rngs = [np.random.default_rng([seed, 0, head, step]) for head in range(instance.n_heads)]
+    ids, scores = select(
+        instance.probes, reps[:, first + 1 : last], first, last, k, policy=policy, rngs=rngs
+    )
+    candidates = tuple(range(first + 1, last))
+    for head, (chunks, row) in enumerate(zip(ids.tolist(), scores.tolist())):
+        trace.append(step, 0, head, chunks, candidates=candidates, scores=tuple(row))
+    return ids, scores
 
 
 def run_passkey_trials(

@@ -4,9 +4,9 @@ Sealed chunks live in a hot tier (numpy arrays) or an offload tier (an
 in-process byte store standing in for host memory). Fetches from the
 offload tier are counted in token rows, so the decode-phase load bound is
 observable rather than asserted. Chunk representations are always hot:
-each (layer, head) keeps one contiguous (m, d_head) matrix whose row i is
-chunk i's summary, written at seal, so a decode step scores every
-candidate chunk with one matmul over a slice of it.
+each layer keeps one contiguous (H, m, d_head) array whose row [h, i] is
+head h's summary of chunk i, written at seal, so a decode step scores
+every head's candidate chunks over one slice of it.
 
 The recent region keeps Q rows alongside K/V because sealing needs the
 chunk's own queries to build its summary; Q rows are dropped at seal.
@@ -16,8 +16,10 @@ rows over all (layer, head) pairs), updated on every residency change, so
 sampling the peak costs O(1) per write or gather; `hot_tokens()` is the
 slow recount.
 
-One decode loop writes per sequence; sealed slabs are immutable, so
-gathers for distinct (layer, head) pairs could proceed concurrently.
+One decode loop writes per sequence, appending one token to every head
+of a layer, so a layer's heads hold equally many sealed chunks and recent
+rows whenever the engine gathers; `gather` reads all of a layer's heads at
+once and rejects a layer whose heads disagree.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ class ChunkStore:
         self.chunk_size = chunk_size
         self.working_set_tokens = working_set_tokens
         self._slabs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._reprs = [[np.empty((0, d_head)) for _ in range(n_heads)] for _ in range(n_layers)]
+        self._reprs = [np.empty((n_heads, 0, d_head)) for _ in range(n_layers)]
         self._recent_q = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_k = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_v = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
@@ -208,14 +210,15 @@ class ChunkStore:
         self._note_hot_level()
 
     def _write_repr(self, layer: int, head: int, chunk_id: int, c: np.ndarray) -> None:
-        """Store chunk `chunk_id`'s summary as row `chunk_id` of the
-        (layer, head) matrix, doubling its capacity when full."""
-        mat = self._reprs[layer][head]
-        if chunk_id == mat.shape[0]:
-            grown = np.empty((max(8, 2 * chunk_id), self.d_head))
-            grown[:chunk_id] = mat[:chunk_id]
-            self._reprs[layer][head] = mat = grown
-        mat[chunk_id] = c
+        """Store chunk `chunk_id`'s summary as row [head, chunk_id] of the
+        layer's array, doubling its capacity when full."""
+        mat = self._reprs[layer]
+        cap = mat.shape[1]
+        if chunk_id == cap:
+            grown = np.empty((self.n_heads, max(8, 2 * cap), self.d_head))
+            grown[:, :cap] = mat
+            self._reprs[layer] = mat = grown
+        mat[head, chunk_id] = c
 
     def append_token(self, layer: int, head: int, q, k, v):
         """Add one token's unrotated states; returns the sealed chunk id
@@ -270,76 +273,85 @@ class ChunkStore:
     def recent_len(self, layer: int, head: int) -> int:
         return len(self._recent_k[layer][head])
 
-    def recent_states(self, layer: int, head: int):
-        """Stacked (rows, d_head) Q, K, V of the unsealed tail."""
-        q = self._recent_q[layer][head]
-        k = self._recent_k[layer][head]
-        v = self._recent_v[layer][head]
-        empty = np.zeros((0, self.d_head))
-        return (
-            np.array(q) if q else empty,
-            np.array(k) if k else empty,
-            np.array(v) if v else empty,
-        )
-
     def repr_matrix(self, layer: int, head: int) -> np.ndarray:
         """Read-only (sealed, d_head) view: row i is chunk i's summary."""
-        view = self._reprs[layer][head][: len(self._slabs[layer][head])]
+        view = self._reprs[layer][head, : len(self._slabs[layer][head])]
         view.flags.writeable = False
         return view
 
-    def gather(self, layer: int, head: int, chunk_ids, include_recent: bool = False):
-        """Materialize K/V rows for the given sealed chunks, ascending order.
+    def layer_reprs(self, layer: int) -> np.ndarray:
+        """Read-only (H, sealed, d_head) view of every head's summaries."""
+        view = self._reprs[layer][:, : self._layer_count(layer, self._slabs, "sealed chunks")]
+        view.flags.writeable = False
+        return view
 
-        Offloaded slabs are fetched and counted; under budget residency the
-        fetch also promotes the slab (evicting the least recently gathered),
-        otherwise the hot set is left unchanged. Returns (K, V, row_chunk_ids).
+    def _layer_count(self, layer: int, per_head, what: str) -> int:
+        """The common length of the layer's per-head lists `per_head`."""
+        counts = {len(rows) for rows in per_head[layer]}
+        if len(counts) != 1:
+            raise ValueError(f"heads of layer {layer} hold different numbers of {what}: {counts}")
+        return counts.pop()
+
+    def gather(self, layer: int, chunk_ids):
+        """K/V rows of each head's selected sealed chunks, then its recent rows.
+
+        `chunk_ids` is an (H, width) matrix whose row h lists head h's chunks
+        in strictly ascending order. Returns (K, V), each (H, width * l +
+        recent, d_head). Heads are served one after another: a head's slabs
+        are stamped in id order, offloaded ones are fetched and counted, and
+        under budget residency promoted, then that head's slabs are evicted
+        down to the budget and the hot peak is sampled. The hot set is
+        otherwise left unchanged.
         """
-        slabs = self._slabs[layer][head]
-        ids = [int(cid) for cid in chunk_ids]
-        ks, vs = [], []
-        prev = -1
-        for cid in ids:
-            if not 0 <= cid < len(slabs):
-                raise KeyError(f"unknown chunk id {cid} (sealed: {len(slabs)})")
-            if cid <= prev:
-                raise ValueError(f"chunk ids must be strictly ascending, got {tuple(chunk_ids)}")
-            prev = cid
-            slab = slabs[cid]
-            self._clock += 1
-            slab.stamp = self._clock
-            if slab.hot:
-                k, v = slab.k, slab.v
-            else:
-                k, v = slab.fetch()
-                self.tokens_loaded_this_step += slab.rows
-                self.tokens_loaded_total += slab.rows
-                if self.mode == "budget":
-                    self._promote(slab, k, v)
-            ks.append(k)
-            vs.append(v)
-        if self.mode == "budget":
-            # evict once per gather so the working set cannot thrash itself
-            self._evict_over_budget(slabs)
-        counts = [self.chunk_size] * len(ids)
-        if include_recent and self._recent_k[layer][head]:
-            _, rk, rv = self.recent_states(layer, head)
-            ks.append(rk)
-            vs.append(rv)
-            ids.append(len(slabs))
-            counts.append(rk.shape[0])
-        if ks:
-            K = np.concatenate(ks, axis=0)
-            V = np.concatenate(vs, axis=0)
-        else:
-            K = np.zeros((0, self.d_head))
-            V = np.zeros((0, self.d_head))
-        row_ids = np.repeat(np.array(ids, dtype=np.int64), counts)
-        rows = K.shape[0]
-        self.tokens_gathered_this_step += rows
-        self.tokens_gathered_total += rows
-        self._note_hot_level()
-        return K, V, row_ids
+        ids = np.asarray(chunk_ids)
+        H, l, d = self.n_heads, self.chunk_size, self.d_head
+        if ids.ndim != 2 or ids.shape[0] != H:
+            raise ValueError(f"chunk ids must be an ({H}, width) matrix, got shape {ids.shape}")
+        recent = self._layer_count(layer, self._recent_k, "recent rows")
+        width = ids.shape[1]
+        rows = width * l + recent
+        K = np.empty((H, rows, d))
+        V = np.empty((H, rows, d))
+        # Byte views of K and V, so an offloaded slab's bytes copy straight
+        # in; a view of zero rows cannot be cast, and no slab is read then.
+        if rows:
+            k_bytes, v_bytes = memoryview(K).cast("B"), memoryview(V).cast("B")
+        slab_bytes = l * d * K.itemsize
+        budget = self.mode == "budget"
+        for head, head_ids in enumerate(ids.tolist()):
+            slabs = self._slabs[layer][head]
+            prev = -1
+            for j, cid in enumerate(head_ids):
+                if not 0 <= cid < len(slabs):
+                    raise KeyError(f"unknown chunk id {cid} (sealed: {len(slabs)})")
+                if cid <= prev:
+                    raise ValueError(f"chunk ids must be strictly ascending, got {tuple(head_ids)}")
+                prev = cid
+                slab = slabs[cid]
+                self._clock += 1
+                slab.stamp = self._clock
+                if not slab.hot:
+                    self.tokens_loaded_this_step += slab.rows
+                    self.tokens_loaded_total += slab.rows
+                    if budget:
+                        self._promote(slab, *slab.fetch())
+                if slab.hot:
+                    K[head, j * l : (j + 1) * l] = slab.k
+                    V[head, j * l : (j + 1) * l] = slab.v
+                else:
+                    at = (head * rows + j * l) * d * K.itemsize
+                    k_bytes[at : at + slab_bytes] = slab.k_bytes
+                    v_bytes[at : at + slab_bytes] = slab.v_bytes
+            if budget:
+                # evict once per head so the working set cannot thrash itself
+                self._evict_over_budget(slabs)
+            if recent:
+                K[head, width * l :] = self._recent_k[layer][head]
+                V[head, width * l :] = self._recent_v[layer][head]
+            self._note_hot_level()
+        self.tokens_gathered_this_step += H * rows
+        self.tokens_gathered_total += H * rows
+        return K, V
 
     # -- accounting --------------------------------------------------------
 

@@ -36,19 +36,11 @@ class ChunkLayout:
         """Total chunks, counting a partial tail."""
         return self.m_complete + (1 if self.tail_len else 0)
 
-    def span(self, cid: int) -> tuple:
-        """Half-open (start, end) token range of chunk `cid`."""
-        l = self.chunk_size
-        return cid * l, min((cid + 1) * l, self.n)
-
     @cached_property
     def bounds(self) -> tuple:
         """Half-open (start, end) token ranges, one per chunk."""
-        return tuple(self.span(i) for i in range(self.m))
-
-
-def layout(n: int, chunk_size: int) -> ChunkLayout:
-    return ChunkLayout(n=n, chunk_size=chunk_size)
+        l = self.chunk_size
+        return tuple((i * l, min((i + 1) * l, self.n)) for i in range(self.m))
 
 
 def advance(current: ChunkLayout, new_token_index: int):

@@ -429,7 +429,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scaling)
 
     p = sub.add_parser("run", help="execute a run descriptor JSON")
-    p.add_argument("--descriptor", required=True)
+    p.add_argument(
+        "--descriptor",
+        required=True,
+        help="run descriptor JSON; a relative `input` path in it is resolved against "
+        "the working directory, not the descriptor's directory",
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
 

@@ -27,7 +27,7 @@ from .model import (
     softmax,
 )
 from .remapping import remap
-from .selection import SelectionSet, apply_head_constraints, rank_top, select
+from .selection import rank_top, select
 from .trace import SelectionTrace
 
 
@@ -329,86 +329,42 @@ class Engine:
             raise RuntimeError(f"engine is unusable: {self._failure}")
 
     def _decode_token(self, token: int) -> np.ndarray:
+        """One greedy step. Each layer selects, remaps, gathers, rotates and
+        attends for all of its heads at once: every head reads k' sealed
+        chunks plus the same recent region, so their rows stack into
+        (H, rows, d_head) arrays with the query at one shared position."""
         mc = self.model.config
-        cfg = self.config
-        H, d = mc.n_heads, mc.d_head
-        k = cfg.num_selected
-        policy = cfg.policy
-        base = "top-k" if policy in CONSTRAINT_POLICIES else policy
         rope = self.model.rope
         store = self.store
         step = self.layout.n
         store.begin_step()
         max_pos = -1
-        max_attended = 0
         h = self.model.embed[np.array([token])]
-        layer0_sets: list = [None] * H
+        layer0_ids = None
         for layer in range(mc.n_layers):
             x = rms_norm(h)
             Q, K, V = self.model.project_heads(layer, x)
-            head_out = np.empty_like(Q)
-            head0_set: SelectionSet | None = None
-            for head in range(H):
-                sealed = store.sealed_count(layer, head)
-                recent = store.recent_len(layer, head)
-                if sealed == 0:
-                    sel = SelectionSet(layer, head, step, ())
-                else:
-                    first, last = 0, sealed - 1
-                    cands = store.repr_matrix(layer, head)[1:last]
-                    rng = (
-                        np.random.default_rng([cfg.seed, layer, head, step])
-                        if base == "random"
-                        else None
-                    )
-                    sel = select(
-                        Q[head, 0],
-                        cands,
-                        first,
-                        last,
-                        k,
-                        policy=base,
-                        rng=rng,
-                        layer=layer,
-                        head=head,
-                        query_token=step,
-                        record_scores=self.record_scores,
-                    )
-                if policy == "fix-head" and head > 0:
-                    sel = apply_head_constraints(sel, policy, head0_set)
-                elif policy == "fix-layer" and layer > 0:
-                    sel = apply_head_constraints(sel, policy, layer0_sets[head])
-                elif policy == "fix-head-and-layer":
-                    if layer > 0:
-                        sel = apply_head_constraints(sel, policy, layer0_sets[0])
-                    elif head > 0:
-                        sel = apply_head_constraints(sel, policy, head0_set)
-                if head == 0:
-                    head0_set = sel
-                if layer == 0:
-                    layer0_sets[head] = sel
-                if self.record_scores:
-                    self.trace.append(
-                        step, layer, head, sel.chunks, candidates=sel.candidates, scores=sel.scores
-                    )
-                else:
-                    self.trace.append(step, layer, head, sel.chunks)
-                pm = remap(sel, self.layout, recent, mc.pretrain_length)
-                k_rows, v_rows, _ = store.gather(layer, head, sel.chunks, include_recent=True)
-                if k_rows.shape[0] != pm.query_position:
-                    raise AssertionError("gathered rows disagree with the position map")
-                k_rot = rope.apply(k_rows, np.arange(k_rows.shape[0]))
-                q_pos = np.array([pm.query_position])
-                q_rot = rope.apply(Q[head], q_pos)
-                k_self = rope.apply(K[head], q_pos)
-                keys = np.concatenate([k_rot, k_self], axis=0)
-                vals = np.concatenate([v_rows, V[head]], axis=0)
-                head_out[head] = attend(q_rot, keys, vals)
-                max_attended = max(max_attended, keys.shape[0])
-                max_pos = max(max_pos, pm.query_position)
-            h = h + self.model.merge_heads(head_out) @ self.model.layers[layer].wo
+            ids, scores = self._decode_selection(layer, step, Q[:, 0])
+            if layer == 0:
+                layer0_ids = ids
+            elif self.config.policy in ("fix-layer", "fix-head-and-layer"):
+                ids = layer0_ids
+            self._record_decode(step, layer, ids, scores)
+            position = remap(ids, self.layout, store.recent_len(layer, 0), mc.pretrain_length)
+            k_rows, v_rows = store.gather(layer, ids)
+            if k_rows.shape[1] != position:
+                raise AssertionError("gathered rows disagree with the position map")
+            q_pos = np.array([position])
+            k_rot = rope.apply(k_rows, np.arange(position))
+            q_rot = rope.apply(Q, q_pos)
+            k_self = rope.apply(K, q_pos)
+            keys = np.concatenate([k_rot, k_self], axis=1)
+            vals = np.concatenate([v_rows, V], axis=1)
+            attn = attend(q_rot, keys, vals)
+            max_pos = max(max_pos, position)
+            h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
-            for head in range(H):
+            for head in range(mc.n_heads):
                 store.append_token(layer, head, Q[head, 0], K[head, 0], V[head, 0])
         self.layout, _ = advance(self.layout, step)
         self.step_count += 1
@@ -417,11 +373,38 @@ class Engine:
                 step=step,
                 rows_gathered=store.tokens_gathered_this_step,
                 rows_loaded=store.tokens_loaded_this_step,
-                max_attended_rows=max_attended,
+                max_attended_rows=max_pos + 1,
                 max_rotary_position=max_pos,
             )
         )
         return self.model.logits_from_hidden(h)[0]
+
+    def _decode_selection(self, layer, step, queries):
+        """(H, k') ids and (H, C) scores of every head's selection for the
+        decode query `queries` (H, d). Candidates are the sealed chunks
+        strictly between the first and the last."""
+        cfg = self.config
+        H = queries.shape[0]
+        sealed = self.store.sealed_count(layer, 0)
+        if sealed == 0:
+            return np.empty((H, 0), dtype=np.int64), np.empty((H, 0))
+        last = sealed - 1
+        rngs = None
+        if cfg.policy == "random":
+            rngs = [np.random.default_rng([cfg.seed, layer, head, step]) for head in range(H)]
+        cands = self.store.layer_reprs(layer)[:, 1:last]
+        return select(queries, cands, 0, last, cfg.num_selected, policy=cfg.policy, rngs=rngs)
+
+    def _record_decode(self, step, layer, ids, scores) -> None:
+        """Trace one row per head of the layer's selection."""
+        trace = self.trace
+        if not self.record_scores:
+            for head, chunks in enumerate(ids.tolist()):
+                trace.append(step, layer, head, chunks)
+            return
+        candidates = tuple(range(1, 1 + scores.shape[1]))
+        for head, (chunks, row) in enumerate(zip(ids.tolist(), scores.tolist())):
+            trace.append(step, layer, head, chunks, candidates=candidates, scores=tuple(row))
 
     # -- oracle ------------------------------------------------------------
 

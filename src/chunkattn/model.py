@@ -40,8 +40,9 @@ def causal_mask(n_q: int, n_k: int, offset: int = 0) -> np.ndarray:
 
 
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Scaled softmax attention over one block of rows."""
-    scores = (q @ k.T) / np.sqrt(q.shape[-1])
+    """Scaled softmax attention over one block of rows; leading axes of
+    q, k and v (e.g. heads) are batch dimensions."""
+    scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(q.shape[-1])
     if mask is not None:
         scores = scores + mask
     return softmax(scores) @ v

@@ -52,13 +52,6 @@ def chunk_representation(q_c: np.ndarray, K: np.ndarray, return_weights: bool = 
     return c
 
 
-def mean_pool_baseline(K: np.ndarray) -> np.ndarray:
-    """Plain column-wise mean of the keys; the rejected simpler summary,
-    kept for comparative tests."""
-    K = _check_chunk_states("K", K)
-    return K.mean(axis=0)
-
-
 def build_chunk_repr(layer: int, head: int, chunk: int, Q, K, V) -> np.ndarray:
     """Representation vector of one sealed chunk of (layer, head)."""
     c = chunk_representation(chunk_query(Q, K, V), K)

@@ -5,40 +5,16 @@ carries local context, so both are always kept (except under the no-first
 ablation). The remaining budget goes to the candidates with the highest
 dot-product score against the query, or to the ablation variant's picks.
 
-Candidates arrive as one contiguous (C, d) slice of a head's
-representation matrix, so scoring is a single matmul and ranking one
-stable sort; nothing per candidate runs in Python.
+Every head of a layer is routed in one call: candidates arrive as one
+(H, C, d) slice of the layer's representation matrices, each head is
+scored with one matmul, and one stable sort ranks every head's scores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .config import CONSTRAINT_POLICIES, SELECTION_POLICIES
-
-
-@dataclass(frozen=True)
-class SelectionSet:
-    """Chunks one (layer, head) attends for one query token.
-
-    `chunks` is strictly ascending so gathered rows preserve text order.
-    `candidates` and `scores` record the ranking inputs for diagnostics;
-    they exclude the mandatory chunks.
-    """
-
-    layer: int
-    head: int
-    query_token: int
-    chunks: tuple
-    candidates: tuple = ()
-    scores: tuple = ()
-
-    def __post_init__(self) -> None:
-        if any(b <= a for a, b in zip(self.chunks, self.chunks[1:])):
-            raise ValueError(f"chunk ids must be strictly ascending, got {self.chunks}")
-
 
 def rank_top(scores: np.ndarray, take: int) -> np.ndarray:
     """Positions of the `take` best scores along the last axis; ties go to
@@ -55,97 +31,80 @@ def select(
     last: int,
     k: int,
     policy: str = "top-k",
-    rng: np.random.Generator | None = None,
-    *,
-    layer: int = 0,
-    head: int = 0,
-    query_token: int = 0,
-    record_scores: bool = True,
-) -> SelectionSet:
-    """Pick at most k chunks for one query.
+    rngs=None,
+) -> tuple:
+    """Pick at most k chunks for each of H heads' queries.
 
-    `candidates` is a (C, d) matrix of chunk representations whose row i
-    is chunk first + 1 + i; it must exclude `first` and `last`, which are
-    appended unconditionally (policy permitting). One matmul scores every
-    row. Constraint policies (fix-head etc.) rank exactly like top-k here;
-    sharing across heads/layers is applied afterwards via
-    apply_head_constraints. With record_scores=False the returned set
-    leaves `candidates` and `scores` empty.
+    `query` is (H, d); `candidates` is an (H, C, d) stack of chunk
+    representations whose row i is chunk first + 1 + i. It must exclude
+    `first` and `last`, which are kept unconditionally (policy permitting).
+    Each head is scored with its own `matrix @ query`. The random policy
+    draws head h's picks from `rngs[h]`. Under fix-head and
+    fix-head-and-layer every head takes head 0's selection; sharing across
+    layers is left to the caller, which holds layer 0's ids.
+
+    Returns `(ids, scores)`: an (H, k') matrix of chunk ids, each row
+    strictly ascending, and the (H, C) candidate scores.
     """
     if k < 2:
         raise ValueError(f"k={k} must be >= 2")
     if policy not in SELECTION_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.size == 0:
-        raise ValueError(f"query must be a nonempty vector, got shape {query.shape}")
+    if query.ndim != 2 or query.size == 0:
+        raise ValueError(f"query must be a nonempty (H, d) matrix, got shape {query.shape}")
+    heads = query.shape[0]
     candidates = np.asarray(candidates, dtype=np.float64)
-    count = len(candidates)
+    if candidates.ndim != 3 or candidates.shape[0] != heads:
+        raise ValueError(
+            f"candidates must be an ({heads}, C, d) stack, got shape {candidates.shape}"
+        )
+    count = candidates.shape[1]
+    scores = np.empty((heads, count))
     if count:
-        if candidates.ndim != 2:
-            raise ValueError(f"candidates must be a (C, d) matrix, got shape {candidates.shape}")
-        if candidates.shape[1] == 0:
+        if candidates.shape[2] == 0:
             raise ValueError("candidates hold an empty representation vector")
-        if candidates.shape[1] != query.size:
+        if candidates.shape[2] != query.shape[1]:
             raise ValueError(
-                f"representation dimension {candidates.shape[1:]} does not match query {query.shape}"
+                f"representation dimension {candidates.shape[2:]} does not match "
+                f"query {query.shape[1:]}"
             )
         if first + count >= last:
             raise ValueError(
                 f"candidates must exclude the mandatory chunks, got ids "
                 f"{first + 1}..{first + count} with last={last}"
             )
-        scores = candidates @ query
-    else:
-        scores = np.zeros(0, dtype=np.float64)
+        for head in range(heads):
+            scores[head] = candidates[head] @ query[head]
 
     base = policy if policy not in CONSTRAINT_POLICIES else "top-k"
     if base == "no-first":
-        mandatory = {last}
+        mandatory = [last]
         take = k - 1
     else:
-        mandatory = {first, last}
+        mandatory = [first, last] if first != last else [first]
         take = k - 2
     take = min(take, count)
 
     if base in ("top-k", "no-first"):
         picked = first + 1 + rank_top(scores, take)
     elif base == "last-k":
-        picked = range(first + 1 + count - take, first + 1 + count)
+        picked = np.arange(first + 1 + count - take, first + 1 + count)
     elif base == "random":
-        if rng is None:
-            raise ValueError("random policy requires an rng")
-        ids = np.arange(first + 1, first + 1 + count, dtype=np.int64)
-        picked = rng.choice(ids, size=take, replace=False) if take else []
+        if rngs is None:
+            raise ValueError("random policy requires one rng per head")
+        pool = np.arange(first + 1, first + 1 + count, dtype=np.int64)
+        picked = np.empty((heads, take), dtype=np.int64)
+        if take:
+            for head in range(heads):
+                picked[head] = rngs[head].choice(pool, size=take, replace=False)
     else:  # pragma: no cover - exhaustive above
         raise AssertionError(base)
 
-    chosen = sorted(mandatory | set(int(p) for p in picked))
-    if not record_scores:
-        return SelectionSet(layer=layer, head=head, query_token=query_token, chunks=tuple(chosen))
-    return SelectionSet(
-        layer=layer,
-        head=head,
-        query_token=query_token,
-        chunks=tuple(chosen),
-        candidates=tuple(range(first + 1, first + 1 + count)),
-        scores=tuple(float(s) for s in scores),
-    )
-
-
-def apply_head_constraints(
-    base: SelectionSet, mode: str, reference: SelectionSet | None = None
-) -> SelectionSet:
-    """Share a reference unit's selection across heads and/or layers.
-
-    fix-head reuses head 0's selection within the layer; fix-layer reuses
-    layer 0's per-head selections; fix-head-and-layer shares layer 0 /
-    head 0 everywhere. Any non-constraint mode returns `base` unchanged.
-    """
-    if mode not in CONSTRAINT_POLICIES:
-        if mode in SELECTION_POLICIES:
-            return base
-        raise ValueError(f"unknown constraint mode {mode!r}")
-    if reference is None:
-        raise ValueError(f"constraint mode {mode!r} requires a reference selection")
-    return replace(base, chunks=reference.chunks)
+    ids = np.empty((heads, take + len(mandatory)), dtype=np.int64)
+    ids[:, :take] = picked
+    ids[:, take:] = mandatory
+    ids.sort(axis=1)
+    if policy in ("fix-head", "fix-head-and-layer"):
+        ids = np.broadcast_to(ids[0], ids.shape)
+    return ids, scores

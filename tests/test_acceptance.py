@@ -203,11 +203,12 @@ def test_criterion_7_mandatory_membership_over_random_selections():
         # vector the list-based form drew, so the cases are unchanged
         cands = rng.normal(size=(n_cands, 2, d))[:, 0]
         first, last = 0, n_cands + 1
-        sel = select(
-            q, cands, first, last, k, policy=policy,
-            rng=np.random.default_rng(int(rng.integers(0, 2**32))),
+        ids, _ = select(
+            q[None], cands[None], first, last, k, policy=policy,
+            rngs=[np.random.default_rng(int(rng.integers(0, 2**32)))],
         )
-        ok = ok and first in sel.chunks and last in sel.chunks and len(sel.chunks) <= k
+        chunks = ids[0].tolist()
+        ok = ok and first in chunks and last in chunks and len(chunks) <= k
         if not ok:
             break
     report(7, ok, "10,000 random selections: first and last always present, |P| <= k")

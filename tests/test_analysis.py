@@ -219,10 +219,14 @@ def test_large_gap_dominates_scores_for_all_heads():
 def test_gap_dominance_single_trial_selects_target():
     inst = build_passkey(64, 17, 10.0, noise_seed=3)
     trace = SelectionTrace()
-    sets = run_passkey_trial(inst, k=8, trace=trace)
-    for sel in sets:
-        assert 17 in sel.chunks
-        best = np.asarray(sel.candidates)[rank_top(np.asarray(sel.scores), 1)]
+    ids, scores = run_passkey_trial(inst, k=8, trace=trace)
+    assert ids.shape == (inst.n_heads, 8)
+    for head in range(inst.n_heads):
+        assert 17 in ids[head]
+        best = 1 + rank_top(scores[head], 1)  # score i is candidate chunk i + 1
+        assert best[0] == 17
+    for rec in trace:
+        best = np.asarray(rec.candidates)[rank_top(np.asarray(rec.scores), 1)]
         assert best[0] == 17
 
 

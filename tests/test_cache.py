@@ -48,8 +48,11 @@ def test_bulk_append_matches_streaming():
         np.testing.assert_allclose(
             bulk.repr_matrix(0, 0)[cid], stream.repr_matrix(0, 0)[cid]
         )
-    for a, b in zip(bulk.recent_states(0, 0), stream.recent_states(0, 0)):
-        np.testing.assert_array_equal(a, b)
+    for a, b in zip(
+        (bulk._recent_q, bulk._recent_k, bulk._recent_v),
+        (stream._recent_q, stream._recent_k, stream._recent_v),
+    ):
+        np.testing.assert_array_equal(np.array(a[0][0]), np.array(b[0][0]))
 
 
 def test_gather_row_counts_and_order():
@@ -58,26 +61,52 @@ def test_gather_row_counts_and_order():
     rng = np.random.default_rng(2)
     for _ in range(32):
         store.append_token(0, 0, *rng.normal(size=(3, 4)))
-    K, V, row_ids = store.gather(0, 0, [0, 6, 7, 9], include_recent=True)
-    assert K.shape[0] == V.shape[0] == 4 * 256 + 32
+    K, V = store.gather(0, [[0, 6, 7, 9]])
+    assert K.shape == V.shape == (1, 4 * 256 + 32, 4)
     # ascending order by original chunk, recent rows last
-    assert list(np.unique(row_ids)) == [0, 6, 7, 9, 10]
-    assert np.all(np.diff(row_ids) >= 0)
+    for j, cid in enumerate([0, 6, 7, 9]):
+        np.testing.assert_array_equal(K[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].k)
+        np.testing.assert_array_equal(V[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].v)
+    np.testing.assert_array_equal(K[0, 4 * 256 :], np.array(store._recent_k[0][0]))
+    np.testing.assert_array_equal(V[0, 4 * 256 :], np.array(store._recent_v[0][0]))
 
 
 def test_gather_rejects_unknown_and_unordered():
     store = make_store()
     fill_chunks(store, 3)
     with pytest.raises(KeyError, match="unknown chunk"):
-        store.gather(0, 0, [0, 7])
+        store.gather(0, [[0, 7]])
     with pytest.raises(ValueError, match="ascending"):
-        store.gather(0, 0, [2, 1])
+        store.gather(0, [[2, 1]])
+    with pytest.raises(ValueError, match="matrix"):
+        store.gather(0, [0, 1])
+
+
+def test_gather_stacks_heads_and_rejects_uneven_heads():
+    store = make_store(l=4, heads=2)
+    for head in range(2):
+        fill_chunks(store, 3, head=head, seed=head)
+    K, V = store.gather(0, [[0, 2], [1, 2]])
+    assert K.shape == V.shape == (2, 8, 4)
+    for head, ids in enumerate([[0, 2], [1, 2]]):
+        slabs = store._slabs[0][head]
+        np.testing.assert_array_equal(K[head], np.concatenate([slabs[c].k for c in ids]))
+        np.testing.assert_array_equal(V[head], np.concatenate([slabs[c].v for c in ids]))
+    # head 0 is stamped before head 1, each in id order
+    stamps = [[s.stamp for s in store._slabs[0][head]] for head in range(2)]
+    assert stamps[0][0] < stamps[0][2] < stamps[1][1] < stamps[1][2]
+    # no chunk and no recent row: empty blocks, not an error
+    K, V = store.gather(0, np.zeros((2, 0), dtype=np.int64))
+    assert K.shape == V.shape == (2, 0, 4)
+    store.append_token(0, 0, *np.ones((3, 4)))
+    with pytest.raises(ValueError, match="different numbers of recent rows"):
+        store.gather(0, [[0], [0]])
 
 
 def test_all_hot_loads_nothing():
     store = make_store()
     fill_chunks(store, 6)
-    store.gather(0, 0, [0, 2, 5])
+    store.gather(0, [[0, 2, 5]])
     assert store.tokens_loaded_total == 0
     assert store.tokens_gathered_total == 3 * 4
 
@@ -88,7 +117,7 @@ def test_offloaded_load_independent_of_total_length():
         store = make_store(l=4, residency="offload")
         fill_chunks(store, chunks)
         store.begin_step()
-        store.gather(0, 0, [0, 1, chunks - 2, chunks - 1])
+        store.gather(0, [[0, 1, chunks - 2, chunks - 1]])
         loads.append(store.tokens_loaded_this_step)
     assert loads == [16, 16, 16]
 
@@ -97,7 +126,7 @@ def test_offload_gather_leaves_hot_set_unchanged():
     store = make_store(residency="offload")
     fill_chunks(store, 5)
     assert store.residency_flags(0, 0) == ["offloaded"] * 5
-    store.gather(0, 0, [1, 3])
+    store.gather(0, [[1, 3]])
     assert store.residency_flags(0, 0) == ["offloaded"] * 5
     assert store.tokens_loaded_total == 8
 
@@ -126,17 +155,17 @@ def test_budget_evicts_least_recently_gathered():
     assert store.residency_flags(0, 0) == ["offloaded", "offloaded", "hot", "hot", "hot", "hot"]
 
     store.begin_step()
-    store.gather(0, 0, [0, 5])     # 0 fetched+promoted; oldest resident (2) evicted
+    store.gather(0, [[0, 5]])      # 0 fetched+promoted; oldest resident (2) evicted
     assert store.tokens_loaded_this_step == 4
     assert store.residency_flags(0, 0) == ["hot", "offloaded", "offloaded", "hot", "hot", "hot"]
 
     store.begin_step()
-    store.gather(0, 0, [1, 3])     # 1 fetched; 4 is now least recently gathered
+    store.gather(0, [[1, 3]])      # 1 fetched; 4 is now least recently gathered
     assert store.tokens_loaded_this_step == 4
     assert store.residency_flags(0, 0) == ["hot", "hot", "offloaded", "hot", "offloaded", "hot"]
 
     store.begin_step()
-    store.gather(0, 0, [2, 4])     # both cold; 0 then 5 evicted
+    store.gather(0, [[2, 4]])      # both cold; 0 then 5 evicted
     assert store.tokens_loaded_this_step == 8
     assert store.residency_flags(0, 0) == ["offloaded", "hot", "hot", "hot", "hot", "offloaded"]
 
@@ -153,7 +182,7 @@ def test_sealed_slabs_are_immutable_across_gathers():
         return digest.hexdigest()
 
     before = checksum()
-    K, V, _ = store.gather(0, 0, [0, 1, 2])
+    K, V = store.gather(0, [[0, 1, 2]])
     K += 99.0  # mutating the gathered copy must not touch the slabs
     with pytest.raises(ValueError):
         store._slabs[0][0][0].k[0, 0] = 99.0
@@ -197,13 +226,14 @@ def test_collect_weights_debug_records():
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-_layer_head = (st.integers(0, 1), st.integers(0, 1))
+# Writes go to every head of a layer, as the engine's do, so a layer's
+# heads always hold equally many sealed and recent rows for `gather`.
+_head_ids = st.lists(st.integers(0, 12), max_size=4, unique=True)
 _store_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("append"), *_layer_head),
-        st.tuples(st.just("bulk"), *_layer_head, st.integers(1, 10)),
-        st.tuples(st.just("gather"), *_layer_head,
-                  st.lists(st.integers(0, 12), max_size=4, unique=True), st.booleans()),
+        st.tuples(st.just("append"), st.integers(0, 1)),
+        st.tuples(st.just("bulk"), st.integers(0, 1), st.integers(1, 10)),
+        st.tuples(st.just("gather"), st.integers(0, 1), st.tuples(_head_ids, _head_ids)),
         st.tuples(st.just("residency"), st.sampled_from(["hot", "offload", "budget"]),
                   st.sampled_from([8, 12, 20])),
     ),
@@ -231,15 +261,18 @@ def test_hot_level_counter_matches_recount(ops, mode, seed):
     for op in ops:
         kind = op[0]
         if kind == "append":
-            store.append_token(op[1], op[2], *rng.normal(size=(3, 4)))
+            for head in range(2):
+                store.append_token(op[1], head, *rng.normal(size=(3, 4)))
         elif kind == "bulk":
-            if store.recent_len(op[1], op[2]):
+            if store.recent_len(op[1], 0):
                 continue
-            store.bulk_append(op[1], op[2], *rng.normal(size=(3, op[3], 4)))
+            for head in range(2):
+                store.bulk_append(op[1], head, *rng.normal(size=(3, op[2], 4)))
         elif kind == "gather":
-            sealed = store.sealed_count(op[1], op[2])
-            ids = sorted(i for i in op[3] if i < sealed)
-            store.gather(op[1], op[2], ids, include_recent=op[4])
+            sealed = store.sealed_count(op[1], 0)
+            ids = [sorted(i for i in head_ids if i < sealed) for head_ids in op[2]]
+            width = min(len(row) for row in ids)
+            store.gather(op[1], [row[:width] for row in ids])
         else:
             store.set_residency(op[1], op[2] if op[1] == "budget" else None)
         assert store._hot_level == store.hot_tokens()

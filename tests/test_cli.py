@@ -209,6 +209,29 @@ def test_run_descriptor_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_run_descriptor_input_resolves_against_working_directory(tmp_path, monkeypatch, capsys):
+    desc = descriptor_setup(tmp_path)
+    descs, work = tmp_path / "descs", tmp_path / "work"
+    descs.mkdir()
+    work.mkdir()
+    data = json.loads(desc.read_text())
+    (work / "tokens.json").write_bytes((tmp_path / "tokens.json").read_bytes())
+    # a file of the same name beside the descriptor, which must not be read
+    (descs / "tokens.json").write_text(json.dumps({"not": "tokens"}))
+    data["input"] = "tokens.json"
+    (descs / "run.json").write_text(json.dumps(data))
+    monkeypatch.chdir(work)
+    assert main(["run", "--descriptor", str(descs / "run.json"), "--out", str(tmp_path / "a")]) == 0
+    absolute = tmp_path / "b"
+    assert main(["run", "--descriptor", str(desc), "--out", str(absolute)]) == 0
+    assert read_json(tmp_path / "a" / "tokens.json") == read_json(absolute / "tokens.json")
+    # from a directory without the token file, the relative input is missing
+    (tmp_path / "empty").mkdir()
+    monkeypatch.chdir(tmp_path / "empty")
+    assert main(["run", "--descriptor", str(descs / "run.json"), "--out", str(tmp_path / "c")]) == 2
+    assert "tokens.json" in capsys.readouterr().err
+
+
 def test_run_descriptor_missing_fields(tmp_path, capsys):
     desc = tmp_path / "run.json"
     desc.write_text(json.dumps({"model": {}}))

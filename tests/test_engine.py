@@ -360,6 +360,42 @@ def test_encode_rotates_each_chunk_once_per_slot(tiny_config, policy):
             assert sum(rows) == L * H * (k + 2) * n
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_decode_selects_remaps_and_gathers_once_per_layer(tiny_model, policy, monkeypatch):
+    import chunkattn.engine as engine_module
+
+    calls = {"select": 0, "remap": 0, "gather": 0}
+    shapes = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(engine_module, "select", counting("select", engine_module.select))
+    monkeypatch.setattr(engine_module, "remap", counting("remap", engine_module.remap))
+    L, H = tiny_model.config.n_layers, tiny_model.config.n_heads
+    l, k, n = 16, 4, 9 * 16 + 5  # 9 sealed chunks > k, so every head picks k
+    engine = make_engine(tiny_model, l=l, k=k, policy=policy, residency="offload")
+    engine.encode(random_tokens(n))
+    gather = counting("gather", engine.store.gather)
+
+    def gather_recording_shape(*args, **kwargs):
+        rows = gather(*args, **kwargs)
+        shapes.append(rows[0].shape)
+        return rows
+
+    engine.store.gather = gather_recording_shape
+    for step in range(n, n + 14):  # crosses the seal at 160
+        calls.update(select=0, remap=0, gather=0)
+        shapes.clear()
+        engine.generate(1)
+        assert calls == {"select": L, "remap": L, "gather": L}
+        assert shapes == [(H, k * l + step % l, tiny_model.config.d_head)] * L
+
+
 def test_failed_decode_step_leaves_engine_unusable(tiny_config):
     model = build_model(tiny_config)
     engine = make_engine(model, l=16, k=4)

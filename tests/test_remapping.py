@@ -1,79 +1,77 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chunkattn import SelectionSet, layout, remap
-from chunkattn.remapping import RECENT_SEGMENT
-
-
-def sel(chunks, layer=0, head=0, token=0):
-    return SelectionSet(layer=layer, head=head, query_token=token, chunks=tuple(chunks))
+from chunkattn import ChunkLayout, remap
 
 
 def test_gap_collapse_matches_back_to_back_layout():
     l = 64
-    lo = layout(8 * l, l)
-    pm = remap(sel([0, 1, 6, 7]), lo, recent_len=0, max_positions=1024)
-    remapped = [s.remapped for s in pm.segments]
-    assert remapped == [(0, l), (l, 2 * l), (2 * l, 3 * l), (3 * l, 4 * l)]
-    original = [s.original for s in pm.segments]
-    assert original == [(0, l), (l, 2 * l), (6 * l, 7 * l), (7 * l, 8 * l)]
-    assert pm.query_position == 4 * l
+    lo = ChunkLayout(n=8 * l, chunk_size=l)
+    # chunks 0, 1, 6, 7 take positions 0..4l-1 with no gap for chunks 2..5
+    assert remap([[0, 1, 6, 7]], lo, recent_len=0, max_positions=1024) == 4 * l
+    assert remap([[0, 1, 2, 3]], lo, recent_len=0, max_positions=1024) == 4 * l
 
 
 def test_recent_region_appended_after_chunks():
-    lo = layout(8, 5)
-    pm = remap(sel([0]), lo, recent_len=3, max_positions=64)
-    assert [s.remapped for s in pm.segments] == [(0, 5), (5, 8)]
-    assert pm.segments[-1].segment_id == RECENT_SEGMENT
-    assert pm.segments[-1].original == (5, 8)
-    assert pm.query_position == 8
+    lo = ChunkLayout(n=8, chunk_size=5)
+    # chunk 0 at 0..4, the recent tokens 5..7 at 5..7, the query at 8
+    assert remap([[0]], lo, recent_len=3, max_positions=64) == 8
 
 
 def test_identity_when_selection_covers_whole_prefix():
-    lo = layout(96, 32)
-    pm = remap(sel([0, 1, 2]), lo, recent_len=0, max_positions=512)
-    for seg in pm.segments:
-        assert seg.original == seg.remapped
-    assert pm.query_position == 96
+    lo = ChunkLayout(n=96, chunk_size=32)
+    assert remap([[0, 1, 2]], lo, recent_len=0, max_positions=512) == lo.n
 
 
 def test_capacity_error():
-    lo = layout(128, 32)
+    lo = ChunkLayout(n=128, chunk_size=32)
     with pytest.raises(ValueError, match="does not fit"):
-        remap(sel([0, 1, 2, 3]), lo, recent_len=0, max_positions=128)
+        remap([[0, 1, 2, 3]], lo, recent_len=0, max_positions=128)
     # one fewer chunk fits
-    remap(sel([0, 1, 2]), lo, recent_len=0, max_positions=128)
+    remap([[0, 1, 2]], lo, recent_len=0, max_positions=128)
 
 
 def test_unknown_chunk_rejected():
-    lo = layout(64, 32)
+    lo = ChunkLayout(n=64, chunk_size=32)
     with pytest.raises(ValueError, match="outside layout"):
-        remap(sel([0, 5]), lo, recent_len=0, max_positions=512)
+        remap([[0, 5]], lo, recent_len=0, max_positions=512)
+    with pytest.raises(ValueError, match="outside layout"):
+        remap([[-1, 0]], lo, recent_len=0, max_positions=512)
+    # the partial tail chunk is the recent region, never a selected chunk
+    with pytest.raises(ValueError, match="outside layout"):
+        remap([[0, 2]], ChunkLayout(n=70, chunk_size=32), recent_len=6, max_positions=512)
 
 
 def test_negative_recent_rejected():
-    lo = layout(64, 32)
+    lo = ChunkLayout(n=64, chunk_size=32)
     with pytest.raises(ValueError):
-        remap(sel([0]), lo, recent_len=-1, max_positions=512)
+        remap([[0]], lo, recent_len=-1, max_positions=512)
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), l=st.integers(1, 16), m=st.integers(1, 12), recent=st.integers(0, 15))
-def test_remap_contiguous_ordered_and_in_distribution(data, l, m, recent):
-    lo = layout(m * l + recent if recent else m * l, l)
-    chosen = sorted(
-        data.draw(st.sets(st.integers(0, lo.m - 1), min_size=1, max_size=min(6, lo.m)))
-    )
+@given(
+    data=st.data(),
+    l=st.integers(1, 16),
+    m=st.integers(1, 12),
+    recent=st.integers(0, 15),
+    heads=st.integers(1, 4),
+)
+def test_remap_contiguous_ordered_and_in_distribution(data, l, m, recent, heads):
+    recent = recent % l
+    lo = ChunkLayout(n=m * l + recent, chunk_size=l)
+    width = data.draw(st.integers(0, min(6, lo.m_complete)))
+    ids = np.array(
+        [
+            sorted(data.draw(st.sets(st.integers(0, lo.m_complete - 1), min_size=width, max_size=width)))
+            for _ in range(heads)
+        ],
+        dtype=np.int64,
+    ).reshape(heads, width)
     max_positions = lo.n + 1  # always enough: remap never exceeds the source length
-    pm = remap(sel(chosen), lo, recent_len=0, max_positions=max_positions)
-    cursor = 0
-    last_original_start = -1
-    for seg in pm.segments:
-        start, end = seg.remapped
-        assert start == cursor
-        cursor = end
-        assert seg.original[0] > last_original_start  # original order preserved
-        last_original_start = seg.original[0]
-        assert end - start == seg.original[1] - seg.original[0]
-    assert pm.query_position == cursor
-    assert pm.query_position < max_positions
+    position = remap(ids, lo, recent_len=recent, max_positions=max_positions)
+    # every head lays its chunks back to back from 0, then the recent rows,
+    # whichever chunks it picked
+    assert position == width * l + recent
+    assert position <= lo.n
+    assert position < max_positions

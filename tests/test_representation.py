@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chunkattn import chunk_query, chunk_representation, mean_pool_baseline
+from chunkattn import chunk_query, chunk_representation
 from chunkattn.representation import (
     chunk_query_batch,
     chunk_representation_batch,
@@ -121,24 +121,6 @@ def test_chunk_representation_scale_monotonicity():
         c = chunk_representation(q, Kg)
         dists.append(np.linalg.norm(c - Kg[0]))
     assert dists[0] > dists[1] > dists[2]
-
-
-def test_mean_pool_identical_rows():
-    row = np.array([1.0, -2.0, 0.5])
-    K = np.tile(row, (4, 1))
-    np.testing.assert_allclose(mean_pool_baseline(K), row)
-
-
-def test_mean_pool_opposite_rows_cancel():
-    K = np.array([[1.0, 2.0], [-1.0, -2.0]])
-    np.testing.assert_allclose(mean_pool_baseline(K), np.zeros(2))
-
-
-def test_mean_pool_matches_resummation():
-    rng = np.random.default_rng(6)
-    K = rng.normal(size=(7, 5))
-    expected = np.array([sum(K[i][j] for i in range(7)) / 7 for j in range(5)])
-    np.testing.assert_allclose(mean_pool_baseline(K), expected, atol=1e-7)
 
 
 def test_batched_variants_match_per_chunk():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .representation import chunk_query_batch, chunk_representation_batch
+from .representation import build_chunk_repr
 from .selection import rank_top, select
 from .trace import SelectionTrace
 
@@ -92,29 +92,6 @@ def hit_rate(trace: SelectionTrace, target: int, top: int) -> float:
         if target in best:
             hits += 1
     return hits / total
-
-
-def hit_rate_by_example(trace: SelectionTrace, target: int, top: int) -> float:
-    """Per-example aggregate: an example (one `step`) hits when the target
-    ranks in the top `top` for a strict majority of its records."""
-    by_step: dict[int, list] = {}
-    for rec in trace:
-        by_step.setdefault(rec.step, []).append(rec)
-    if not by_step:
-        raise ValueError("empty trace")
-    hits = 0
-    for recs in by_step.values():
-        votes = 0
-        for rec in recs:
-            cand = np.asarray(rec.candidates, dtype=np.int64)
-            if cand.size == 0:
-                continue
-            scores = np.asarray(rec.scores, dtype=np.float64)
-            if target in cand[rank_top(scores, top)]:
-                votes += 1
-        if votes * 2 > len(recs):
-            hits += 1
-    return hits / len(by_step)
 
 
 def retrieval_rate(trace: SelectionTrace, target: int) -> float:
@@ -224,8 +201,9 @@ def instance_representations(instance: PasskeyInstance) -> np.ndarray:
     H = instance.n_heads
     reps = np.empty((H, instance.m, instance.d_head))
     for head in range(H):
-        q_c = chunk_query_batch(instance.queries[head], instance.keys[head], instance.values[head])
-        reps[head] = chunk_representation_batch(q_c, instance.keys[head])
+        reps[head] = build_chunk_repr(
+            0, head, 0, instance.queries[head], instance.keys[head], instance.values[head]
+        )
     return reps
 
 

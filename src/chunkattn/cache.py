@@ -26,12 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .representation import (
-    build_chunk_repr,
-    chunk_query,
-    chunk_representation,
-    weights_record,
-)
+from .representation import build_chunk_repr
 
 RESIDENCY_MODES = ("hot", "offload", "budget")
 
@@ -79,7 +74,6 @@ class ChunkStore:
         residency: str = "hot",
         budget: int | None = None,
         working_set_tokens: int | None = None,
-        collect_weights: bool = False,
     ):
         self.n_layers = n_layers
         self.n_heads = n_heads
@@ -98,7 +92,6 @@ class ChunkStore:
         self.tokens_gathered_this_step = 0
         self.tokens_gathered_total = 0
         self.peak_hot_tokens = 0
-        self.weight_records = [] if collect_weights else None
         self.mode = "hot"
         self.budget = None
         self.set_residency(residency, budget)
@@ -177,48 +170,47 @@ class ChunkStore:
         q_rows = self._recent_q[layer][head]
         k_rows = self._recent_k[layer][head]
         v_rows = self._recent_v[layer][head]
-        Q = np.stack(q_rows)
-        K = np.stack(k_rows)
-        V = np.stack(v_rows)
+        Q = np.stack(q_rows)[None]
+        K = np.stack(k_rows)[None]
+        V = np.stack(v_rows)[None]
         chunk_id = len(self._slabs[layer][head])
+        reprs = build_chunk_repr(layer, head, chunk_id, Q, K, V)
         # the peak is sampled inside _install_sealed, while these rows still
         # count as recent
-        self._install_sealed(layer, head, Q, K, V, chunk_id)
+        self._install_sealed(layer, head, reprs, K, V)
         q_rows.clear()
         k_rows.clear()
         v_rows.clear()
-        self._hot_level -= K.shape[0]
+        self._hot_level -= K.shape[1]
         return chunk_id
 
-    def _install_sealed(self, layer, head, Q, K, V, chunk_id) -> None:
-        if self.weight_records is not None:
-            q_c = chunk_query(Q, K, V)
-            c, weights = chunk_representation(q_c, K, return_weights=True)
-            self.weight_records.append(weights_record(layer, head, chunk_id, weights))
-        else:
-            c = build_chunk_repr(layer, head, chunk_id, Q, K, V)
-        self._write_repr(layer, head, chunk_id, c)
-        self._clock += 1
-        slab = _Slab(K, V, stamp=self._clock)
+    def _install_sealed(self, layer, head, reprs, K, V) -> None:
+        """Store the next chunks' summaries `reprs` (chunks, d_head) and
+        their (chunks, l, d_head) K/V rows as slabs, one after another."""
         slabs = self._slabs[layer][head]
-        slabs.append(slab)
-        self._hot_level += slab.rows
-        if self.mode == "offload":
-            self._offload(slab)
-        elif self.mode == "budget":
-            self._evict_over_budget(slabs)
-        self._note_hot_level()
+        self._write_reprs(layer, head, len(slabs), reprs)
+        for k, v in zip(K, V):
+            self._clock += 1
+            slab = _Slab(k, v, stamp=self._clock)
+            slabs.append(slab)
+            self._hot_level += slab.rows
+            if self.mode == "offload":
+                self._offload(slab)
+            elif self.mode == "budget":
+                self._evict_over_budget(slabs)
+            self._note_hot_level()
 
-    def _write_repr(self, layer: int, head: int, chunk_id: int, c: np.ndarray) -> None:
-        """Store chunk `chunk_id`'s summary as row [head, chunk_id] of the
-        layer's array, doubling its capacity when full."""
+    def _write_reprs(self, layer: int, head: int, first: int, reprs: np.ndarray) -> None:
+        """Store summaries as rows [head, first:] of the layer's array,
+        at least doubling its capacity when they do not fit."""
         mat = self._reprs[layer]
         cap = mat.shape[1]
-        if chunk_id == cap:
-            grown = np.empty((self.n_heads, max(8, 2 * cap), self.d_head))
+        end = first + len(reprs)
+        if end > cap:
+            grown = np.empty((self.n_heads, max(8, 2 * cap, end), self.d_head))
             grown[:, :cap] = mat
             self._reprs[layer] = mat = grown
-        mat[head, chunk_id] = c
+        mat[head, first:end] = reprs
 
     def append_token(self, layer: int, head: int, q, k, v):
         """Add one token's unrotated states; returns the sealed chunk id
@@ -239,7 +231,7 @@ class ChunkStore:
         """Ingest a block of tokens at once, sealing every complete chunk.
 
         Equivalent to repeated append_token; used by the encoding phase,
-        where all complete chunks are summarized up front.
+        where all complete chunks are summarized up front in one batch.
         """
         Q = np.asarray(Q, dtype=np.float64)
         K = np.asarray(K, dtype=np.float64)
@@ -250,18 +242,18 @@ class ChunkStore:
             raise ValueError("bulk_append requires an empty recent buffer")
         n = Q.shape[0]
         l = self.chunk_size
-        sealed = []
-        for start in range(0, (n // l) * l, l):
-            chunk_id = len(self._slabs[layer][head])
-            self._install_sealed(
-                layer, head, Q[start : start + l], K[start : start + l], V[start : start + l], chunk_id
-            )
-            sealed.append(chunk_id)
-        for row in range((n // l) * l, n):
+        n_full = (n // l) * l
+        first = len(self._slabs[layer][head])
+        sealed = list(range(first, first + n // l))
+        if sealed:
+            blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V)]
+            reprs = build_chunk_repr(layer, head, first, *blocks)
+            self._install_sealed(layer, head, reprs, blocks[1], blocks[2])
+        for row in range(n_full, n):
             self._recent_q[layer][head].append(Q[row].copy())
             self._recent_k[layer][head].append(K[row].copy())
             self._recent_v[layer][head].append(V[row].copy())
-        self._hot_level += n - (n // l) * l
+        self._hot_level += n - n_full
         self._note_hot_level()
         return sealed
 

@@ -76,7 +76,6 @@ class Engine:
         residency: str = "hot",
         budget: int | None = None,
         record_scores: bool = False,
-        collect_weights: bool = False,
     ):
         validate_pairing(model.config, config)
         self.model = model
@@ -90,7 +89,6 @@ class Engine:
             residency=residency,
             budget=budget,
             working_set_tokens=config.attention_window,
-            collect_weights=collect_weights,
         )
         self.layout: ChunkLayout | None = None
         self.trace = SelectionTrace(
@@ -405,12 +403,6 @@ class Engine:
         candidates = tuple(range(1, 1 + scores.shape[1]))
         for head, (chunks, row) in enumerate(zip(ids.tolist(), scores.tolist())):
             trace.append(step, layer, head, chunks, candidates=candidates, scores=tuple(row))
-
-    # -- oracle ------------------------------------------------------------
-
-    def oracle_forward(self, tokens) -> np.ndarray:
-        """Vanilla full-attention logits for the same model."""
-        return full_attention_forward(self.model, tokens)
 
     def counters_dict(self) -> dict:
         out = self.counters.to_dict()

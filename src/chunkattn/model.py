@@ -108,10 +108,6 @@ class RotaryTable:
         sin = self.sin[positions]
         return states * cos + rotate_half(states) * sin
 
-    def reset_instrumentation(self) -> None:
-        self.max_position_applied = -1
-        self.applications = 0
-
 
 @dataclass(frozen=True)
 class TokenSequence:

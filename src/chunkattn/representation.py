@@ -9,8 +9,6 @@ position-free so selected chunks can be remapped later.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .model import attend, softmax
@@ -52,44 +50,19 @@ def chunk_representation(q_c: np.ndarray, K: np.ndarray, return_weights: bool = 
     return c
 
 
-def build_chunk_repr(layer: int, head: int, chunk: int, Q, K, V) -> np.ndarray:
-    """Representation vector of one sealed chunk of (layer, head)."""
-    c = chunk_representation(chunk_query(Q, K, V), K)
-    if not np.isfinite(c).all():
-        raise FloatingPointError(f"non-finite representation for chunk {chunk}")
+def build_chunk_repr(layer: int, head: int, first: int, Q, K, V) -> np.ndarray:
+    """Representation vectors of sealed chunks first, first + 1, ... of
+    (layer, head), from their (chunks, l, d_head) states.
+
+    The same matmuls as `chunk_representation(chunk_query(...))` with a
+    leading chunk axis, so every row equals the one-chunk result bit for bit.
+    """
+    q_c = attend(Q, K, V).mean(axis=-2)
+    weights = softmax((K @ q_c[..., None])[..., 0] / np.sqrt(K.shape[-1]))
+    c = (weights[..., None, :] @ K)[..., 0, :]
+    finite = np.isfinite(c).all(axis=-1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite representation for chunk {first + int(np.argmin(finite))}"
+        )
     return c
-
-
-def weights_record(layer: int, head: int, chunk: int, weights: np.ndarray) -> dict:
-    """JSON-ready record of one representation's softmax weights."""
-    return {
-        "layer": layer,
-        "head": head,
-        "chunk": chunk,
-        "weights": [float(w) for w in weights],
-    }
-
-
-def dump_weight_records(records: list, path) -> None:
-    with open(path, "w") as f:
-        json.dump(records, f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
-# Batched variants over a leading chunk axis. Same math as the per-chunk
-# functions (asserted in tests); used where many chunks are summarized at
-# once, e.g. the synthetic retrieval harness.
-
-def chunk_query_batch(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """(m, l, d) states -> (m, d) chunk queries."""
-    d = Q.shape[-1]
-    scores = Q @ K.transpose(0, 2, 1) / np.sqrt(d)
-    out = softmax(scores) @ V
-    return out.mean(axis=1)
-
-
-def chunk_representation_batch(q_c: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """(m, d) queries and (m, l, d) keys -> (m, d) representations."""
-    d = K.shape[-1]
-    scores = np.einsum("md,mld->ml", q_c, K) / np.sqrt(d)
-    return np.einsum("ml,mld->md", softmax(scores), K)

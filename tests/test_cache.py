@@ -215,17 +215,6 @@ def test_set_residency_hot_rematerializes_without_counting():
     assert store.tokens_loaded_total == 0
 
 
-def test_collect_weights_debug_records():
-    store = make_store(l=4, collect_weights=True)
-    fill_chunks(store, 2)
-    assert len(store.weight_records) == 2
-    for rec in store.weight_records:
-        w = np.array(rec["weights"])
-        assert w.shape == (4,)
-        assert np.all(w >= 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-9)
-
-
 # Writes go to every head of a layer, as the engine's do, so a layer's
 # heads always hold equally many sealed and recent rows for `gather`.
 _head_ids = st.lists(st.integers(0, 12), max_size=4, unique=True)

@@ -223,14 +223,6 @@ def test_token_sequence_input(tiny_model):
     np.testing.assert_array_equal(a, b)
 
 
-def test_oracle_forward_delegates(tiny_model):
-    toks = random_tokens(50)
-    engine = make_engine(tiny_model)
-    np.testing.assert_array_equal(
-        engine.oracle_forward(toks), full_attention_forward(tiny_model, toks)
-    )
-
-
 def test_record_scores_populates_candidates(tiny_model):
     engine = make_engine(tiny_model, l=32, k=4, record_scores=True)
     engine.encode(random_tokens(200))
@@ -442,3 +434,72 @@ def test_failed_encode_leaves_engine_unusable(tiny_config):
         engine.encode(random_tokens(300))
     with pytest.raises(RuntimeError, match="encode of 300 tokens raised FloatingPointError"):
         engine.generate(1)
+
+
+def test_encode_builds_chunk_reprs_once_per_layer_and_head(tiny_model, monkeypatch):
+    import chunkattn.cache as cache_module
+
+    batches = []
+
+    def recording(layer, head, first, Q, K, V):
+        batches.append((layer, head, first, Q.shape))
+        return build_chunk_repr(layer, head, first, Q, K, V)
+
+    build_chunk_repr = cache_module.build_chunk_repr
+    monkeypatch.setattr(cache_module, "build_chunk_repr", recording)
+    L, H, d = tiny_model.config.n_layers, tiny_model.config.n_heads, tiny_model.config.d_head
+    l, n = 16, 9 * 16 + 13
+    engine = make_engine(tiny_model, l=l, k=4)
+    engine.encode(random_tokens(n))
+    units = [(layer, head) for layer in range(L) for head in range(H)]
+    # one batch holds every complete chunk of one (layer, head)
+    assert sorted(batches) == [(layer, head, 0, (9, l, d)) for layer, head in units]
+    batches.clear()
+    engine.generate(3)  # the third token seals chunk 9 on every (layer, head)
+    assert sorted(batches) == [(layer, head, 9, (1, l, d)) for layer, head in units]
+
+
+def test_engines_sharing_a_model_run_as_if_alone(tiny_config, tmp_path):
+    # two engines of different configs interleave encode and decode on one
+    # model; each must produce exactly what it produces when run alone
+    model = build_model(tiny_config)
+    steps = 12  # crosses a seal for both chunk sizes
+    specs = {
+        "a": (
+            dict(l=16, k=4, policy="top-k", residency="offload", record_scores=True),
+            random_tokens(300, seed=1),
+        ),
+        "b": (
+            dict(l=32, k=3, policy="random", seed=5, residency="budget", budget=128),
+            random_tokens(150, seed=2),
+        ),
+    }
+
+    def start(name):
+        kw, toks = specs[name]
+        engine = make_engine(model, **kw)
+        return engine, [engine.encode(toks)], []
+
+    def step(run):
+        engine, logits, tokens = run
+        tokens.extend(engine.generate(1).tokens)
+        logits.append(engine.last_logits)
+
+    def outputs(run, path):
+        engine, logits, tokens = run
+        engine.trace.to_json(path)
+        return tokens, [a.tobytes() for a in logits], engine.counters_dict(), path.read_bytes()
+
+    alone = {}
+    for name in specs:
+        run = start(name)
+        for _ in range(steps):
+            step(run)
+        alone[name] = outputs(run, tmp_path / f"{name}-alone.json")
+
+    runs = {name: start(name) for name in specs}
+    for _ in range(steps):
+        for name in specs:
+            step(runs[name])
+    for name in specs:
+        assert outputs(runs[name], tmp_path / f"{name}-shared.json") == alone[name]

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkattn import chunk_query, chunk_representation
-from chunkattn.representation import (
-    chunk_query_batch,
-    chunk_representation_batch,
-    weights_record,
-)
+from chunkattn.representation import build_chunk_repr
 
 
 def naive_attention(Q, K, V):
@@ -123,22 +119,36 @@ def test_chunk_representation_scale_monotonicity():
     assert dists[0] > dists[1] > dists[2]
 
 
+def per_chunk(Q, K, V):
+    return np.stack([chunk_representation(chunk_query(q, k, v), k) for q, k, v in zip(Q, K, V)])
+
+
 def test_batched_variants_match_per_chunk():
     rng = np.random.default_rng(7)
     Q, K, V = (rng.normal(size=(3, 5, 4)) for _ in range(3))
-    q_batch = chunk_query_batch(Q, K, V)
-    for i in range(3):
-        np.testing.assert_allclose(q_batch[i], chunk_query(Q[i], K[i], V[i]), atol=1e-12)
-    c_batch = chunk_representation_batch(q_batch, K)
-    for i in range(3):
-        np.testing.assert_allclose(
-            c_batch[i], chunk_representation(q_batch[i], K[i]), atol=1e-12
-        )
+    assert np.array_equal(build_chunk_repr(0, 0, 0, Q, K, V), per_chunk(Q, K, V))
 
 
-def test_weights_record_is_json_ready():
-    rec = weights_record(1, 2, 3, np.array([0.25, 0.75]))
-    assert rec == {"layer": 1, "head": 2, "chunk": 3, "weights": [0.25, 0.75]}
+@pytest.mark.parametrize("l", [1, 16, 64])
+def test_build_chunk_repr_is_bit_equal_to_one_chunk_at_a_time(l):
+    rng = np.random.default_rng(l)
+    Q, K, V = (rng.normal(size=(40, l, 16)) for _ in range(3))
+    batched = build_chunk_repr(1, 2, 0, Q, K, V)
+    assert batched.shape == (40, 16)
+    assert np.array_equal(batched, per_chunk(Q, K, V))
+    # a batch of one, as sealed at decode time, gives the same rows
+    for i in (0, 17, 39):
+        one = build_chunk_repr(1, 2, i, Q[i : i + 1], K[i : i + 1], V[i : i + 1])
+        assert np.array_equal(one[0], batched[i])
+
+
+def test_build_chunk_repr_names_the_non_finite_chunk():
+    rng = np.random.default_rng(3)
+    Q, K, V = (rng.normal(size=(6, 4, 8)) for _ in range(3))
+    K[4, 2, 1] = np.inf
+    # the batch starts at chunk 10, so its row 4 is chunk 14
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="chunk 14$"):
+        build_chunk_repr(0, 0, 10, Q, K, V)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkattn import select
-from chunkattn.selection import rank_top
+from chunkattn.selection import PARTITION_MIN_LENGTH, rank_top
 
 
 def reprs_with_scores(query, scored):
@@ -196,27 +196,55 @@ def test_raising_a_selected_chunks_score_never_evicts_it(seed):
     assert target in chunks2
 
 
+# Row lengths on both sides of PARTITION_MIN_LENGTH, so both the argsort and
+# the partition path are drawn, under (C,), (H, C) and (H, t, C) batches.
+_row_length = st.one_of(st.integers(0, 12), st.integers(0, 600))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     shape=st.one_of(
-        st.tuples(st.integers(0, 12)),
-        st.tuples(st.integers(1, 3), st.integers(0, 12)),
-        st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(0, 12)),
+        st.tuples(_row_length),
+        st.tuples(st.integers(1, 4), _row_length),
+        st.tuples(st.integers(1, 4), st.integers(1, 16), _row_length),
     ),
+    spread=st.sampled_from([3, 50, 10**6]),
+    seed=st.integers(0, 2**32 - 1),
 )
-def test_rank_top_ties_go_to_lower_position(data, shape):
-    # small integer values make ties the common case
-    values = data.draw(st.lists(st.integers(-3, 3), min_size=int(np.prod(shape)),
-                                max_size=int(np.prod(shape))))
-    scores = np.array(values, dtype=np.float64).reshape(shape)
-    for take in range(shape[-1] + 2):
+def test_rank_top_ties_go_to_lower_position(data, shape, spread, seed):
+    # integer scores: a small spread makes ties the common case, also at the
+    # take-th best score; a wide one leaves most rows free of ties
+    values = np.random.default_rng(seed).integers(-spread, spread + 1, size=shape)
+    scores = values.astype(np.float64)
+    length = shape[-1]
+    if length <= 12:
+        takes = range(length + 2)
+    else:
+        drawn = data.draw(st.lists(st.integers(0, length + 1), max_size=4))
+        takes = sorted({0, 1, 6, length - 1, length, length + 1, *drawn})
+    expected_order = {
+        batch: sorted(range(length), key=lambda i, row=scores[batch]: (-row[i], i))
+        for batch in np.ndindex(shape[:-1])
+    }
+    for take in takes:
         got = rank_top(scores, take)
         np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[..., :take])
         for batch in np.ndindex(shape[:-1]):
-            row = scores[batch]
-            expected = sorted(range(len(row)), key=lambda i: (-row[i], i))[:take]
-            assert list(got[batch]) == expected
+            assert list(got[batch]) == expected_order[batch][:take]
+
+
+def test_rank_top_partition_path_handles_nan_and_inf():
+    rng = np.random.default_rng(5)
+    scores = rng.normal(size=(6, PARTITION_MIN_LENGTH + 40))
+    scores[0, 3] = np.nan  # outside the top picks
+    scores[1, :8] = np.nan  # NaNs rank last under the argsort
+    scores[2, 10] = np.inf
+    scores[3, [4, 9]] = -np.inf
+    scores[4, [2, 7, 30]] = scores[4].max() + 1.0  # a tie among the picks
+    for take in (1, 6, 20):
+        got = rank_top(scores, take)
+        np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[:, :take])
 
 
 @settings(max_examples=100, deadline=None)

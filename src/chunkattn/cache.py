@@ -8,8 +8,11 @@ each layer keeps one contiguous (H, m, d_head) array whose row [h, i] is
 head h's summary of chunk i, written at seal, so a decode step scores
 every head's candidate chunks over one slice of it.
 
-The recent region keeps Q rows alongside K/V because sealing needs the
-chunk's own queries to build its summary; Q rows are dropped at seal.
+Keys arrive twice: unrotated, and rotated by their offset inside their
+chunk. Slabs and `gather` hold the rotated rows, so a query rotated once per
+slot attends them at any remapped position. Summaries must stay
+position-free, so the recent region also keeps the Q and unrotated K rows
+that sealing summarizes; both are dropped at seal.
 
 The store keeps a running count of hot tokens (hot slab rows plus recent
 rows over all (layer, head) pairs), updated on every residency change, so
@@ -85,6 +88,7 @@ class ChunkStore:
         self._recent_q = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_k = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._recent_v = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
+        self._recent_kr = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         self._clock = 0
         self._hot_level = 0
         self.tokens_loaded_this_step = 0
@@ -166,21 +170,23 @@ class ChunkStore:
 
     # -- writes ------------------------------------------------------------
 
+    def _recent(self, layer: int, head: int) -> tuple:
+        """The recent region's Q, K, V and rotated K row lists."""
+        return tuple(
+            rows[layer][head]
+            for rows in (self._recent_q, self._recent_k, self._recent_v, self._recent_kr)
+        )
+
     def _seal(self, layer: int, head: int) -> int:
-        q_rows = self._recent_q[layer][head]
-        k_rows = self._recent_k[layer][head]
-        v_rows = self._recent_v[layer][head]
-        Q = np.stack(q_rows)[None]
-        K = np.stack(k_rows)[None]
-        V = np.stack(v_rows)[None]
+        buffers = self._recent(layer, head)
+        Q, K, V, K_rot = (np.stack(rows)[None] for rows in buffers)
         chunk_id = len(self._slabs[layer][head])
         reprs = build_chunk_repr(layer, head, chunk_id, Q, K, V)
         # the peak is sampled inside _install_sealed, while these rows still
         # count as recent
-        self._install_sealed(layer, head, reprs, K, V)
-        q_rows.clear()
-        k_rows.clear()
-        v_rows.clear()
+        self._install_sealed(layer, head, reprs, K_rot, V)
+        for rows in buffers:
+            rows.clear()
         self._hot_level -= K.shape[1]
         return chunk_id
 
@@ -212,32 +218,31 @@ class ChunkStore:
             self._reprs[layer] = mat = grown
         mat[head, first:end] = reprs
 
-    def append_token(self, layer: int, head: int, q, k, v):
-        """Add one token's unrotated states; returns the sealed chunk id
-        when this token completes a chunk, else None."""
-        q = np.asarray(q, dtype=np.float64).reshape(self.d_head)
-        k = np.asarray(k, dtype=np.float64).reshape(self.d_head)
-        v = np.asarray(v, dtype=np.float64).reshape(self.d_head)
-        self._recent_q[layer][head].append(q)
-        self._recent_k[layer][head].append(k)
-        self._recent_v[layer][head].append(v)
+    def append_token(self, layer: int, head: int, q, k, v, k_rot):
+        """Add one token's unrotated states and its key rotated by its
+        offset in the chunk; returns the sealed chunk id when this token
+        completes a chunk, else None."""
+        d = self.d_head
+        self._recent_q[layer][head].append(np.asarray(q, dtype=np.float64).reshape(d))
+        self._recent_v[layer][head].append(np.asarray(v, dtype=np.float64).reshape(d))
+        self._recent_kr[layer][head].append(np.asarray(k_rot, dtype=np.float64).reshape(d))
+        k_rows = self._recent_k[layer][head]
+        k_rows.append(np.asarray(k, dtype=np.float64).reshape(d))
         self._hot_level += 1
-        if len(self._recent_k[layer][head]) == self.chunk_size:
+        if len(k_rows) == self.chunk_size:
             return self._seal(layer, head)
         self._note_hot_level()
         return None
 
-    def bulk_append(self, layer: int, head: int, Q, K, V) -> list:
+    def bulk_append(self, layer: int, head: int, Q, K, V, K_rot) -> list:
         """Ingest a block of tokens at once, sealing every complete chunk.
 
         Equivalent to repeated append_token; used by the encoding phase,
         where all complete chunks are summarized up front in one batch.
         """
-        Q = np.asarray(Q, dtype=np.float64)
-        K = np.asarray(K, dtype=np.float64)
-        V = np.asarray(V, dtype=np.float64)
-        if Q.shape != K.shape or K.shape != V.shape or Q.ndim != 2:
-            raise ValueError("Q/K/V must be matching (tokens, d_head) blocks")
+        Q, K, V, K_rot = (np.asarray(a, dtype=np.float64) for a in (Q, K, V, K_rot))
+        if not Q.shape == K.shape == V.shape == K_rot.shape or Q.ndim != 2:
+            raise ValueError("Q/K/V/K_rot must be matching (tokens, d_head) blocks")
         if len(self._recent_k[layer][head]):
             raise ValueError("bulk_append requires an empty recent buffer")
         n = Q.shape[0]
@@ -246,13 +251,11 @@ class ChunkStore:
         first = len(self._slabs[layer][head])
         sealed = list(range(first, first + n // l))
         if sealed:
-            blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V)]
-            reprs = build_chunk_repr(layer, head, first, *blocks)
-            self._install_sealed(layer, head, reprs, blocks[1], blocks[2])
-        for row in range(n_full, n):
-            self._recent_q[layer][head].append(Q[row].copy())
-            self._recent_k[layer][head].append(K[row].copy())
-            self._recent_v[layer][head].append(V[row].copy())
+            blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V, K_rot)]
+            reprs = build_chunk_repr(layer, head, first, *blocks[:3])
+            self._install_sealed(layer, head, reprs, blocks[3], blocks[2])
+        for rows, a in zip(self._recent(layer, head), (Q, K, V, K_rot)):
+            rows.extend(a[n_full:].copy())
         self._hot_level += n - n_full
         self._note_hot_level()
         return sealed
@@ -285,7 +288,8 @@ class ChunkStore:
         return counts.pop()
 
     def gather(self, layer: int, chunk_ids):
-        """K/V rows of each head's selected sealed chunks, then its recent rows.
+        """Rotated K and V rows of each head's selected sealed chunks, then
+        its recent rows.
 
         `chunk_ids` is an (H, width) matrix whose row h lists head h's chunks
         in strictly ascending order. Returns (K, V), each (H, width * l +
@@ -338,7 +342,7 @@ class ChunkStore:
                 # evict once per head so the working set cannot thrash itself
                 self._evict_over_budget(slabs)
             if recent:
-                K[head, width * l :] = self._recent_k[layer][head]
+                K[head, width * l :] = self._recent_kr[layer][head]
                 V[head, width * l :] = self._recent_v[layer][head]
             self._note_hot_level()
         self.tokens_gathered_this_step += H * rows

@@ -24,7 +24,6 @@ from .model import (
     causal_mask,
     full_attention_forward,
     rms_norm,
-    softmax,
 )
 from .remapping import remap
 from .selection import rank_top, select
@@ -131,6 +130,8 @@ class Engine:
                 h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
                 h = self.model.mlp(layer, h)
             logits = self.model.logits_from_hidden(h)
+            if not np.isfinite(logits).all():
+                raise FloatingPointError(f"non-finite logits in encode of {n} tokens")
         except BaseException as exc:
             # The layout is set and the store and trace hold some layers.
             self._failure = f"encode of {n} tokens raised {exc!r}"
@@ -143,21 +144,23 @@ class Engine:
         """One layer's chunked attention over the whole prompt, (H, n, d_head).
 
         Selection runs for every chunk first, so the trace keeps chunk order.
-        Attention then runs one head at a time over a slot table: every
-        complete chunk's keys rotated once per slot position s*l + r. A token's
-        selected keys are a gather from that table, so each chunk is rotated
-        once per slot rather than once per token that selects it. The table
-        and the gathered rows are freed when this returns, before the MLP.
+        Every key is rotated once, by its offset r inside its chunk, and
+        stored so. A token j of a chunk that selected n_sel chunks sits at
+        n_sel*l + j and its slot s at s*l + r, so its query is rotated once
+        per slot, to (n_sel - s)*l + j, since R(a)q . R(b)k = R(a - c)q .
+        R(b - c)k. Attention runs one chunk and one head at a time, so only
+        that head's selected rows are gathered at once.
         """
         l = self.config.chunk_size
         H, d = self.model.config.n_heads, self.model.config.d_head
         rope = self.model.rope
         bounds = self.layout.bounds
+        K_rot = rope.apply(K, np.arange(K.shape[1]) % l)
         for head in range(H):
-            self.store.bulk_append(layer, head, Q[head], K[head], V[head])
+            self.store.bulk_append(layer, head, Q[head], K[head], V[head], K_rot[head])
         reprs = np.stack([self.store.repr_matrix(layer, head) for head in range(H)])
-        block_ids = [None]
-        self._record_block(layer, 0, bounds[0][1], None, None)
+        block_ids = [np.zeros((H, bounds[0][1], 0), dtype=np.int64)]
+        self._record_block(layer, 0, bounds[0][1], block_ids[0], None)
         self._note_encode_window(bounds[0][1])
         for c, (start, end) in enumerate(bounds[1:], 1):
             l_c = end - start
@@ -165,39 +168,25 @@ class Engine:
             self._record_block(layer, start, l_c, ids, diag)
             self._note_encode_window(ids.shape[-1] * l + l_c)
             block_ids.append(ids)
-        # Build slots only up to the widest selection made, never a fixed k.
-        n_slots = max((ids.shape[-1] for ids in block_ids[1:]), default=0)
         n_full = self.layout.m_complete * l
-        full_mask = causal_mask(l, l)
+        k_chunks = K_rot[:, :n_full].reshape(H, -1, l, d)
+        v_chunks = V[:, :n_full].reshape(H, -1, l, d)
+        mask = causal_mask(l, l)
         attn = np.empty_like(Q)
-        for head in range(H):
-            k_chunks = K[head, :n_full].reshape(-1, l, d)
-            v_chunks = V[head, :n_full].reshape(-1, l, d)
-            table = np.empty((n_slots,) + k_chunks.shape)
-            for s in range(n_slots):
-                table[s] = rope.apply(k_chunks, s * l + np.arange(l))
-            for (start, end), ids in zip(bounds, block_ids):
-                l_c = end - start
-                q_blk, k_blk, v_blk = Q[head, start:end], K[head, start:end], V[head, start:end]
-                mask = full_mask[:l_c, :l_c]
-                if ids is None:
-                    pos = np.arange(l_c)
-                    attn[head, start:end] = attend(
-                        rope.apply(q_blk, pos), rope.apply(k_blk, pos), v_blk, mask
-                    )
-                    continue
-                n_sel = ids.shape[-1]
-                span = n_sel * l
-                k_sel = table[np.arange(n_sel), ids[head]].reshape(l_c, span, d)
-                v_sel = v_chunks[ids[head]].reshape(l_c, span, d)
-                pos_own = span + np.arange(l_c)
-                q_rot = rope.apply(q_blk, pos_own)
-                k_own = rope.apply(k_blk, pos_own)
-                s_sel = np.einsum("td,tsd->ts", q_rot, k_sel) / np.sqrt(d)
-                s_own = (q_rot @ k_own.T) / np.sqrt(d) + mask
-                w = softmax(np.concatenate([s_sel, s_own], axis=1))
-                attn[head, start:end] = (
-                    np.einsum("ts,tsd->td", w[:, :span], v_sel) + w[:, span:] @ v_blk
+        for (start, end), ids in zip(bounds, block_ids):
+            l_c, n_sel = end - start, ids.shape[-1]
+            at = (np.arange(n_sel, -1, -1)[:, None] * l + np.arange(l_c)).ravel()
+            q_rot = rope.apply(np.tile(Q[:, start:end], (1, n_sel + 1, 1)), at)
+            q_rot = q_rot.reshape(H, n_sel + 1, l_c, d)
+            q_sel = q_rot[:, :n_sel].transpose(0, 2, 1, 3)
+            for head in range(H):
+                # Rebound one at a time, so at most one array more than these
+                # two is live, and the freed one is reused, not refaulted.
+                k_sel = k_chunks[head, ids[head]]
+                v_sel = v_chunks[head, ids[head]]
+                attn[head, start:end] = attend(
+                    q_rot[head, n_sel], K_rot[head, start:end], V[head, start:end],
+                    mask[:l_c, :l_c], sel=(q_sel[head], k_sel, v_sel),
                 )
         return attn
 
@@ -212,8 +201,6 @@ class Engine:
         """Trace one chunk's (H, l_c, n_sel) ids as l_c * H rows, token-major."""
         H = self.model.config.n_heads
         rows = l_c * H
-        if ids is None:
-            ids = np.zeros((H, l_c, 0), dtype=np.int64)
         candidates = scores = None
         if diag is not None:
             cand_ids, score_mat = diag
@@ -332,6 +319,7 @@ class Engine:
         chunks plus the same recent region, so their rows stack into
         (H, rows, d_head) arrays with the query at one shared position."""
         mc = self.model.config
+        H, d, l = mc.n_heads, mc.d_head, self.config.chunk_size
         rope = self.model.rope
         store = self.store
         step = self.layout.n
@@ -348,22 +336,37 @@ class Engine:
             elif self.config.policy in ("fix-layer", "fix-head-and-layer"):
                 ids = layer0_ids
             self._record_decode(step, layer, ids, scores)
-            position = remap(ids, self.layout, store.recent_len(layer, 0), mc.pretrain_length)
+            recent = store.recent_len(layer, 0)
+            position = remap(ids, self.layout, recent, mc.pretrain_length)
             k_rows, v_rows = store.gather(layer, ids)
             if k_rows.shape[1] != position:
                 raise AssertionError("gathered rows disagree with the position map")
-            q_pos = np.array([position])
-            k_rot = rope.apply(k_rows, np.arange(position))
-            q_rot = rope.apply(Q, q_pos)
-            k_self = rope.apply(K, q_pos)
-            keys = np.concatenate([k_rot, k_self], axis=1)
-            vals = np.concatenate([v_rows, V], axis=1)
-            attn = attend(q_rot, keys, vals)
+            # Keys are stored at R(r), r their offset in the chunk. The query
+            # sits at `position` and slot s at s*l + r, so one rotary call
+            # takes the query to position - s*l for s = 0..width (slot
+            # `width` holds the recent rows and this token) and this token's
+            # key to its own offset, `recent`.
+            width, span = ids.shape[1], position - recent
+            at = position - l * np.arange(width + 2)
+            at[-1] = recent
+            rot = rope.apply(np.concatenate([np.repeat(Q, width + 1, axis=1), K], axis=1), at)
+            k_self = rot[:, -1:]
+            sel = (rot[:, None, :width], k_rows[:, None, :span].reshape(H, 1, width, l, d),
+                   v_rows[:, None, :span].reshape(H, 1, width, l, d))
+            attn = attend(
+                rot[:, width : width + 1],
+                np.concatenate([k_rows[:, span:], k_self], axis=1),
+                np.concatenate([v_rows[:, span:], V], axis=1),
+                sel=sel,
+            )
             max_pos = max(max_pos, position)
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
-            for head in range(mc.n_heads):
-                store.append_token(layer, head, Q[head, 0], K[head, 0], V[head, 0])
+            for head in range(H):
+                store.append_token(layer, head, Q[head, 0], K[head, 0], V[head, 0], k_self[head, 0])
+        logits = self.model.logits_from_hidden(h)[0]
+        if not np.isfinite(logits).all():
+            raise FloatingPointError(f"non-finite logits at decode step {step}")
         self.layout, _ = advance(self.layout, step)
         self.step_count += 1
         self.counters.steps.append(
@@ -375,7 +378,7 @@ class Engine:
                 max_rotary_position=max_pos,
             )
         )
-        return self.model.logits_from_hidden(h)[0]
+        return logits
 
     def _decode_selection(self, layer, step, queries):
         """(H, k') ids and (H, C) scores of every head's selection for the

@@ -1,8 +1,9 @@
 """Deterministic decoder-only transformer substrate.
 
 Weights are a pure function of (config, seed); there is no training path.
-Keys are cached unrotated and rotary encoding is applied at attention time,
-so the same cached keys can later be attended at remapped positions.
+The engine caches keys rotated only by their offset inside their chunk and
+rotates each query once per slot it attends, so the same cached keys can
+later be attended at remapped positions.
 """
 
 from __future__ import annotations
@@ -39,13 +40,32 @@ def causal_mask(n_q: int, n_k: int, offset: int = 0) -> np.ndarray:
     return np.where(cols <= rows, 0.0, -np.inf)
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Scaled softmax attention over one block of rows; leading axes of
-    q, k and v (e.g. heads) are batch dimensions."""
+def attend(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None, sel=None
+) -> np.ndarray:
+    """Scaled softmax attention of queries q (..., t, d) over rows k, v
+    (..., n, d); leading axes (e.g. heads) are batch dimensions.
+
+    `sel = (q_sel, k_sel, v_sel)` adds S slots of l rows per query:
+    q_sel (..., t, S, d) holds each query as rotated for its slot and
+    k_sel, v_sel (..., t, S, l, d) the slot rows. Both blocks share one
+    softmax, normalised before the V products, so S = 0 gives exactly
+    the result without `sel`.
+    """
     scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(q.shape[-1])
     if mask is not None:
         scores = scores + mask
-    return softmax(scores) @ v
+    if sel is None:
+        return softmax(scores) @ v
+    q_sel, k_sel, v_sel = sel
+    s_sel = (q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)) / np.sqrt(q.shape[-1])
+    s_sel = s_sel.reshape(scores.shape[:-1] + (-1,))
+    top = np.maximum(scores.max(-1, keepdims=True), s_sel.max(-1, keepdims=True, initial=-np.inf))
+    w = np.exp(scores - top)
+    w_sel = np.exp(s_sel - top)
+    total = w.sum(-1, keepdims=True) + w_sel.sum(-1, keepdims=True)
+    rows = v_sel.reshape(w_sel.shape + v_sel.shape[-1:])
+    return (w / total) @ v + ((w_sel / total)[..., None, :] @ rows)[..., 0, :]
 
 
 def rotate_half(x: np.ndarray) -> np.ndarray:
@@ -74,7 +94,6 @@ class RotaryTable:
         self.cos.flags.writeable = False
         self.sin.flags.writeable = False
         self.max_position_applied = -1
-        self.applications = 0
 
     def apply(self, states: np.ndarray, positions) -> np.ndarray:
         """Rotate rows of `states` at the given positions.
@@ -101,7 +120,6 @@ class RotaryTable:
                 f"position {hi} is outside the rotary table "
                 f"(pretrain length {self.max_positions})"
             )
-        self.applications += 1
         if hi > self.max_position_applied:
             self.max_position_applied = hi
         cos = self.cos[positions]

@@ -14,17 +14,17 @@ def make_store(l=4, d=4, layers=1, heads=1, **kw):
 def fill_chunks(store, count, layer=0, head=0, d=4, seed=0):
     rng = np.random.default_rng(seed)
     l = store.chunk_size
-    store.bulk_append(layer, head, *(rng.normal(size=(count * l, d)) for _ in range(3)))
+    store.bulk_append(layer, head, *(rng.normal(size=(count * l, d)) for _ in range(4)))
 
 
 def test_append_seals_on_chunk_boundary():
     store = make_store(l=4)
     rng = np.random.default_rng(0)
     for i in range(3):
-        assert store.append_token(0, 0, *rng.normal(size=(3, 4))) is None
+        assert store.append_token(0, 0, *rng.normal(size=(4, 4))) is None
     assert store.recent_len(0, 0) == 3
     assert len(store._recent_q[0][0]) == 3
-    assert store.append_token(0, 0, *rng.normal(size=(3, 4))) == 0
+    assert store.append_token(0, 0, *rng.normal(size=(4, 4))) == 0
     assert store.recent_len(0, 0) == 0
     # Q rows for the sealed chunk are gone
     assert len(store._recent_q[0][0]) == 0
@@ -34,13 +34,13 @@ def test_append_seals_on_chunk_boundary():
 
 def test_bulk_append_matches_streaming():
     rng = np.random.default_rng(1)
-    Q, K, V = (rng.normal(size=(11, 4)) for _ in range(3))
+    Q, K, V, K_rot = (rng.normal(size=(11, 4)) for _ in range(4))
     bulk = make_store(l=4)
-    sealed = bulk.bulk_append(0, 0, Q, K, V)
+    sealed = bulk.bulk_append(0, 0, Q, K, V, K_rot)
     assert sealed == [0, 1]
     stream = make_store(l=4)
     for i in range(11):
-        stream.append_token(0, 0, Q[i], K[i], V[i])
+        stream.append_token(0, 0, Q[i], K[i], V[i], K_rot[i])
     assert bulk.sealed_count(0, 0) == stream.sealed_count(0, 0)
     assert bulk.recent_len(0, 0) == stream.recent_len(0, 0) == 3
     for cid in range(2):
@@ -49,8 +49,8 @@ def test_bulk_append_matches_streaming():
             bulk.repr_matrix(0, 0)[cid], stream.repr_matrix(0, 0)[cid]
         )
     for a, b in zip(
-        (bulk._recent_q, bulk._recent_k, bulk._recent_v),
-        (stream._recent_q, stream._recent_k, stream._recent_v),
+        (bulk._recent_q, bulk._recent_k, bulk._recent_v, bulk._recent_kr),
+        (stream._recent_q, stream._recent_k, stream._recent_v, stream._recent_kr),
     ):
         np.testing.assert_array_equal(np.array(a[0][0]), np.array(b[0][0]))
 
@@ -60,14 +60,14 @@ def test_gather_row_counts_and_order():
     fill_chunks(store, 10, d=4)
     rng = np.random.default_rng(2)
     for _ in range(32):
-        store.append_token(0, 0, *rng.normal(size=(3, 4)))
+        store.append_token(0, 0, *rng.normal(size=(4, 4)))
     K, V = store.gather(0, [[0, 6, 7, 9]])
     assert K.shape == V.shape == (1, 4 * 256 + 32, 4)
     # ascending order by original chunk, recent rows last
     for j, cid in enumerate([0, 6, 7, 9]):
         np.testing.assert_array_equal(K[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].k)
         np.testing.assert_array_equal(V[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].v)
-    np.testing.assert_array_equal(K[0, 4 * 256 :], np.array(store._recent_k[0][0]))
+    np.testing.assert_array_equal(K[0, 4 * 256 :], np.array(store._recent_kr[0][0]))
     np.testing.assert_array_equal(V[0, 4 * 256 :], np.array(store._recent_v[0][0]))
 
 
@@ -98,7 +98,7 @@ def test_gather_stacks_heads_and_rejects_uneven_heads():
     # no chunk and no recent row: empty blocks, not an error
     K, V = store.gather(0, np.zeros((2, 0), dtype=np.int64))
     assert K.shape == V.shape == (2, 0, 4)
-    store.append_token(0, 0, *np.ones((3, 4)))
+    store.append_token(0, 0, *np.ones((4, 4)))
     with pytest.raises(ValueError, match="different numbers of recent rows"):
         store.gather(0, [[0], [0]])
 
@@ -193,7 +193,7 @@ def test_representation_exists_iff_sealed():
     store = make_store(l=4)
     rng = np.random.default_rng(3)
     for i in range(6):
-        store.append_token(0, 0, *rng.normal(size=(3, 4)))
+        store.append_token(0, 0, *rng.normal(size=(4, 4)))
     assert store.sealed_count(0, 0) == 1
     assert len(store.repr_matrix(0, 0)) == 1
     assert store.repr_matrix(0, 0).shape == (1, 4)
@@ -251,12 +251,12 @@ def test_hot_level_counter_matches_recount(ops, mode, seed):
         kind = op[0]
         if kind == "append":
             for head in range(2):
-                store.append_token(op[1], head, *rng.normal(size=(3, 4)))
+                store.append_token(op[1], head, *rng.normal(size=(4, 4)))
         elif kind == "bulk":
             if store.recent_len(op[1], 0):
                 continue
             for head in range(2):
-                store.bulk_append(op[1], head, *rng.normal(size=(3, op[2], 4)))
+                store.bulk_append(op[1], head, *rng.normal(size=(4, op[2], 4)))
         elif kind == "gather":
             sealed = store.sealed_count(op[1], 0)
             ids = [sorted(i for i in head_ids if i < sealed) for head_ids in op[2]]

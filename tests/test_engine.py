@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from chunkattn import (
     Engine,
     EngineConfig,
+    HostModel,
     ModelConfig,
     OracleDecoder,
     build_model,
@@ -344,12 +345,99 @@ def test_encode_rotates_each_chunk_once_per_slot(tiny_config, policy):
     l, k = 16, 4
     for n in (9 * l, 9 * l + 5):  # m = 9 and 10 chunks, both > k
         rows.clear()
-        make_engine(model, l=l, k=k, policy=policy).encode(random_tokens(n))
-        # k slots of every complete chunk's keys, plus each token's query
-        # and own-chunk key once
-        assert sum(rows) == L * H * (k * (n // l) * l + 2 * n)
-        if n % l == 0:
-            assert sum(rows) == L * H * (k + 2) * n
+        engine = make_engine(model, l=l, k=k, policy=policy)
+        engine.encode(random_tokens(n))
+        # every key once at its in-chunk offset, and each (token, head)'s
+        # query once per selected chunk plus once for its own chunk
+        assert len(engine.trace) == L * H * n
+        assert sum(rows) == L * H * n + int((engine.trace.width + 1).sum())
+        assert sum(rows) < L * H * (k + 2) * n
+
+
+@pytest.mark.parametrize("l", [8, 16, 32])
+def test_decode_rotates_queries_per_slot_not_gathered_keys(tiny_config, l):
+    model = build_model(tiny_config)
+    rotate = model.rope.apply
+    rows = []
+
+    def counting_apply(states, positions):
+        rows.append(np.asarray(states).size // model.config.d_head)
+        return rotate(states, positions)
+
+    model.rope.apply = counting_apply
+    L, H = tiny_config.n_layers, tiny_config.n_heads
+    k, n = 4, 6 * 32 + 3
+    engine = make_engine(model, l=l, k=k, policy="top-k", residency="offload")
+    engine.encode(random_tokens(n))
+    for _ in range(2 * l):  # crosses a seal
+        rows.clear()
+        before = len(engine.trace)
+        engine.generate(1)
+        widths = engine.trace.width[before:]
+        # per (layer, head): the query once per slot and once for its own
+        # chunk, plus its own key; never the k*l + recent gathered rows
+        assert sum(rows) == int((widths + 2).sum()) == L * H * (k + 2)
+
+
+@pytest.mark.parametrize("residency,budget", [("hot", None), ("offload", None), ("budget", 80)])
+def test_sealed_slabs_hold_keys_rotated_by_their_offset(tiny_model, residency, budget):
+    import chunkattn.cache as cache_module
+
+    L, H = tiny_model.config.n_layers, tiny_model.config.n_heads
+    l, n, steps = 16, 5 * 16 + 9, 30  # decode seals chunks 5 and 6
+    engine = make_engine(tiny_model, l=l, k=4, residency=residency, budget=budget)
+    store = engine.store
+    appended = {(layer, head): [] for layer in range(L) for head in range(H)}
+    bulk_append, append_token = store.bulk_append, store.append_token
+
+    def recording_bulk(layer, head, Q, K, V, K_rot):
+        appended[layer, head].extend(zip(Q, K, V))
+        return bulk_append(layer, head, Q, K, V, K_rot)
+
+    def recording_token(layer, head, q, k, v, k_rot):
+        appended[layer, head].append((q, k, v))
+        return append_token(layer, head, q, k, v, k_rot)
+
+    store.bulk_append, store.append_token = recording_bulk, recording_token
+    engine.encode(random_tokens(n))
+    engine.generate(steps)
+    m = (n + steps) // l
+    for (layer, head), rows in appended.items():
+        Q, K, V = (np.array(a)[: m * l].reshape(m, l, -1) for a in zip(*rows))
+        for cid, slab in enumerate(store._slabs[layer][head]):
+            k_slab, v_slab = (slab.k, slab.v) if slab.hot else slab.fetch()
+            np.testing.assert_array_equal(k_slab, tiny_model.rope.apply(K[cid], np.arange(l)))
+            np.testing.assert_array_equal(v_slab, V[cid])
+        # summaries stay position-free: built from the unrotated rows
+        np.testing.assert_array_equal(
+            store.repr_matrix(layer, head), cache_module.build_chunk_repr(layer, head, 0, Q, K, V)
+        )
+
+
+def test_non_finite_logits_mark_the_engine_failed(tiny_config):
+    model = build_model(tiny_config)
+    toks = random_tokens(40)
+    engine = make_engine(model, l=16, k=4)
+    engine.encode(toks)
+    bad = int(np.argmax(engine.last_logits))  # the token decode feeds next
+    assert bad not in toks
+    embed = model.embed.copy()
+    embed[bad] = np.inf
+    broken = HostModel(model.config, embed, model.layers, model.w_out)
+
+    with np.errstate(invalid="ignore"):
+        engine = make_engine(broken, l=16, k=4)
+        engine.encode(toks)
+        with pytest.raises(FloatingPointError, match="non-finite logits at decode step 40"):
+            engine.generate(2)
+        with pytest.raises(RuntimeError, match="decode step 40 raised FloatingPointError"):
+            engine.generate(1)
+
+        engine = make_engine(broken, l=16, k=4)
+        with pytest.raises(FloatingPointError, match="non-finite logits in encode of 41 tokens"):
+            engine.encode(np.append(toks, bad))
+        with pytest.raises(RuntimeError, match="encode of 41 tokens raised FloatingPointError"):
+            engine.generate(1)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chunkattn import ModelConfig, build_model, full_attention_forward
-from chunkattn.model import RotaryTable, rms_norm
+from chunkattn.model import RotaryTable, attend, causal_mask, rms_norm, softmax
 
 from conftest import random_tokens
 
@@ -141,3 +141,53 @@ def test_token_validation(tiny_model):
 
 def test_rms_norm_of_zero_is_zero():
     np.testing.assert_array_equal(rms_norm(np.zeros((2, 4))), np.zeros((2, 4)))
+
+
+def test_rotary_query_per_slot_matches_rotated_keys():
+    # R(P)q . R(s*l + r)k == R(P - s*l)q . R(r)k for every P and every key
+    # position s*l + r <= P of the table
+    T, d, l = 512, 16, 16
+    table = RotaryTable(d_head=d, max_positions=T)
+    rng = np.random.default_rng(4)
+    q, k = rng.normal(size=(2, d))
+    positions = np.arange(T)
+    q_rot = table.apply(np.broadcast_to(q, (T, d)), positions)
+    k_rot = table.apply(np.broadcast_to(k, (T, d)), positions)
+    direct = q_rot @ k_rot.T
+    P, b = np.meshgrid(positions, positions, indexing="ij")
+    composed = np.einsum("ijd,ijd->ij", q_rot[np.maximum(P - b // l * l, 0)], k_rot[b % l])
+    seen = b <= P
+    assert np.abs(direct - composed)[seen].max() < 1e-12
+
+
+def test_attend_without_slots_is_the_plain_formula():
+    rng = np.random.default_rng(5)
+    for t, n, d in ((1, 1, 4), (7, 7, 8), (3, 20, 16)):
+        q, k, v = rng.normal(size=(t, d)), rng.normal(size=(n, d)), rng.normal(size=(n, d))
+        for mask in (None, causal_mask(t, n, offset=n - t)):
+            scores = q @ k.T / np.sqrt(d) + (0.0 if mask is None else mask)
+            expected = softmax(scores) @ v
+            np.testing.assert_array_equal(attend(q, k, v, mask), expected)
+            # zero slots normalise the same weights the same way
+            empty = (np.zeros((t, 0, d)), np.zeros((t, 0, 5, d)), np.zeros((t, 0, 5, d)))
+            np.testing.assert_array_equal(attend(q, k, v, mask, empty), expected)
+
+
+def test_attend_with_slots_matches_one_concatenated_softmax():
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        H, t, n, S, l = (int(x) for x in rng.integers(1, 6, size=5))
+        d = int(rng.choice([4, 8, 16]))
+        n = max(n, t)
+        q, k, v = rng.normal(size=(H, t, d)), rng.normal(size=(H, n, d)), rng.normal(size=(H, n, d))
+        S = S - 1  # 0..4 slots
+        q_sel = rng.normal(size=(H, t, S, d))
+        k_sel, v_sel = rng.normal(size=(2, H, t, S, l, d)) * 3
+        mask = causal_mask(t, n, offset=n - t) if rng.random() < 0.5 else None
+        out = attend(q, k, v, mask, (q_sel, k_sel, v_sel))
+        s_sel = np.einsum("htsd,htsrd->htsr", q_sel, k_sel).reshape(H, t, S * l)
+        s_own = np.einsum("htd,hnd->htn", q, k) + (0.0 if mask is None else mask)
+        w = softmax(np.concatenate([s_sel, s_own], axis=-1) / np.sqrt(d))
+        rows = np.concatenate([v_sel.reshape(H, t, S * l, d), np.broadcast_to(v[:, None], (H, t, n, d))], axis=2)
+        expected = np.einsum("htr,htrd->htd", w, rows)
+        assert np.abs(out - expected).max() < 1e-13

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -238,3 +239,45 @@ def test_run_descriptor_missing_fields(tmp_path, capsys):
     code = main(["run", "--descriptor", str(desc), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "missing" in capsys.readouterr().err
+
+
+def artifact_digests(out, names):
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+# sha256 of each artifact at one small shape per command. The passkey
+# trace holds every candidate score, so a change in how scores are stored
+# or ranked shows here byte for byte.
+PINNED = {
+    "passkey": {
+        "metrics.json": "d632d6ef1c0cce32ae11b9c85408fe69b36bfd1320c66a29caa4f67bb1f65197",
+        "trace.json": "a9dc64cf64ad1d73da4185ba47cc50b88d5caf88698b36d1166cfae088bb2dcf",
+        "heatmap.csv": "51ec423fcda862761f0f0b1cbd002f3ec87664a9bbb16d876be8271ce4ac5efd",
+    },
+    "ablate": {
+        "metrics.json": "ed93e2fbe595f0c7628fac57f97ca7bc8381355f05037401de0b3e41daa5de4b",
+    },
+    "run": {
+        "tokens.json": "dd90e37c40537baedf5af5f50917583946c6c69a4e1aaed95fd3cb5bcda03928",
+        "trace.json": "e9855d91da2bcbb95a3af3a7cdad278b3a312bf360a8943b235896ec28a666d5",
+        "heatmap.csv": "910a47c657f7d9415a311b14a0f929efd668d74e589e5c9905fdf65c8739cda4",
+        "counters.json": "c7b08ecac3c2e730b26a505c65b7acda9275aeae434cd42f921902e05297aeba",
+        "metrics.json": "c4a1bbc7871aa846d6511ffeabfae44197e59453dcb27e7871cf73daf7038dfe",
+    },
+}
+SHAPE = ["--m", "12", "--k", "4", "--trials", "20", "--heads", "2", "--chunk-size", "8",
+         "--gap", "0.4", "--seed", "3"]
+
+
+def test_passkey_and_ablate_artifacts_match_pinned_digests(tmp_path):
+    assert main(["passkey", *SHAPE, "--out", str(tmp_path / "passkey")]) == 0
+    policies = "top-k,random,last-k,no-first,fix-head"
+    assert main(["ablate", "--policies", policies, *SHAPE, "--out", str(tmp_path / "ablate")]) == 0
+    for command in ("passkey", "ablate"):
+        assert artifact_digests(tmp_path / command, PINNED[command]) == PINNED[command]
+
+
+def test_run_artifacts_match_pinned_digests(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--descriptor", str(descriptor_setup(tmp_path)), "--out", str(out)]) == 0
+    assert artifact_digests(out, PINNED["run"]) == PINNED["run"]

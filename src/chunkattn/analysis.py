@@ -72,35 +72,40 @@ def gini(counts) -> float:
     return float(diff_sum / (2 * m * total))
 
 
-def hit_rate(trace: SelectionTrace, target: int, top: int) -> float:
-    """Fraction of records whose `top` best-scoring candidates include the
-    target chunk. Mandatory chunks never count: they are selected
-    regardless of score, so they carry no ranking signal."""
+def top_hits(trace: SelectionTrace, target, top: int) -> np.ndarray:
+    """Per row, whether the target chunk is among the row's `top`
+    best-scoring candidates. `target` is one chunk id or one per row.
+    Mandatory chunks never count: they are selected regardless of score,
+    so they carry no ranking signal."""
     if len(trace) == 0:
         raise ValueError("empty trace")
-    hits = 0
-    total = 0
-    for rec in trace:
-        if rec.candidates is None or rec.scores is None:
-            raise ValueError("trace records carry no candidate scores")
-        total += 1
-        cand = np.asarray(rec.candidates, dtype=np.int64)
-        if cand.size == 0:
-            continue
-        scores = np.asarray(rec.scores, dtype=np.float64)
-        best = cand[rank_top(scores, top)]
-        if target in best:
-            hits += 1
-    return hits / total
+    target = np.broadcast_to(target, (len(trace),))
+    hits = np.zeros(len(trace), dtype=bool)
+    scored = 0
+    for r, scores in trace.score_blocks:
+        rows = slice(r, r + len(scores))
+        hits[rows] = (1 + rank_top(scores, top) == target[rows, None]).any(axis=1)
+        scored += len(scores)
+    if scored != len(trace):
+        raise ValueError("trace records carry no candidate scores")
+    return hits
 
 
-def retrieval_rate(trace: SelectionTrace, target: int) -> float:
-    """Fraction of records whose selected set contains the target chunk."""
+def hit_rate(trace: SelectionTrace, target, top: int) -> float:
+    """Fraction of records whose `top` best-scoring candidates include the
+    target chunk: one chunk id, or one per row."""
+    return np.count_nonzero(top_hits(trace, target, top)) / len(trace)
+
+
+def retrieval_rate(trace: SelectionTrace, target) -> float:
+    """Fraction of records whose selected set contains the target chunk:
+    one chunk id, or one per row."""
     if len(trace) == 0:
         raise ValueError("empty trace")
     ids = trace.chunk_ids
     selected = np.arange(ids.shape[1]) < trace.width[:, None]
-    return np.count_nonzero(((ids == target) & selected).any(axis=1)) / len(trace)
+    found = (ids == np.reshape(target, (-1, 1))) & selected
+    return np.count_nonzero(found.any(axis=1)) / len(trace)
 
 
 def export_heatmap(trace: SelectionTrace, path) -> None:
@@ -198,13 +203,7 @@ def build_passkey(
 
 def instance_representations(instance: PasskeyInstance) -> np.ndarray:
     """(H, m, d) chunk representations through the real summary pipeline."""
-    H = instance.n_heads
-    reps = np.empty((H, instance.m, instance.d_head))
-    for head in range(H):
-        reps[head] = build_chunk_repr(
-            0, head, 0, instance.queries[head], instance.keys[head], instance.values[head]
-        )
-    return reps
+    return build_chunk_repr(0, 0, 0, instance.queries, instance.keys, instance.values)
 
 
 def run_passkey_trial(
@@ -230,9 +229,7 @@ def run_passkey_trial(
     ids, scores = select(
         instance.probes, reps[:, first + 1 : last], first, last, k, policy=policy, rngs=rngs
     )
-    candidates = tuple(range(first + 1, last))
-    for head, (chunks, row) in enumerate(zip(ids.tolist(), scores.tolist())):
-        trace.append(step, 0, head, chunks, candidates=candidates, scores=tuple(row))
+    trace.append_block(step, 0, np.arange(instance.n_heads), ids, scores)
     return ids, scores
 
 
@@ -284,36 +281,18 @@ def run_passkey_trials(
         run_passkey_trial(inst, k, trace, policy=policy, seed=seed, step=trial)
         targets.append(t)
 
-    by_step: dict[int, list] = {}
-    for rec in trace:
-        by_step.setdefault(rec.step, []).append(rec)
-    hits1 = hits5 = retrieved = total = 0
-    by_example_hits = 0
-    for trial, t in enumerate(targets):
-        recs = by_step[trial]
-        votes = 0
-        for rec in recs:
-            total += 1
-            cand = np.asarray(rec.candidates, dtype=np.int64)
-            scores = np.asarray(rec.scores, dtype=np.float64)
-            if cand.size and t in cand[rank_top(scores, 1)]:
-                hits1 += 1
-                votes += 1
-            if cand.size and t in cand[rank_top(scores, 5)]:
-                hits5 += 1
-            if t in rec.chunks:
-                retrieved += 1
-        if votes * 2 > len(recs):
-            by_example_hits += 1
-
+    # Trial t wrote rows t*H .. t*H + H - 1, one per head.
+    targets = np.repeat(targets, n_heads)
+    hits1 = top_hits(trace, targets, 1)
+    votes = np.bincount(trace.step[hits1], minlength=trials)
     counts = trace.selection_counts(m)
     report = MetricsReport(
         cover_rate=cover_rate(trace, m),
         gini=gini(counts),
-        hit_rate_top1=hits1 / total,
-        hit_rate_top5=hits5 / total,
-        hit_rate_top1_by_example=by_example_hits / trials,
-        retrieval_rate=retrieved / total,
+        hit_rate_top1=np.count_nonzero(hits1) / len(trace),
+        hit_rate_top5=hit_rate(trace, targets, 5),
+        hit_rate_top1_by_example=np.count_nonzero(votes * 2 > n_heads) / trials,
+        retrieval_rate=retrieval_rate(trace, targets),
         selection_counts=counts.tolist(),
     )
     if flagged:

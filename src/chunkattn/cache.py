@@ -268,12 +268,6 @@ class ChunkStore:
     def recent_len(self, layer: int, head: int) -> int:
         return len(self._recent_k[layer][head])
 
-    def repr_matrix(self, layer: int, head: int) -> np.ndarray:
-        """Read-only (sealed, d_head) view: row i is chunk i's summary."""
-        view = self._reprs[layer][head, : len(self._slabs[layer][head])]
-        view.flags.writeable = False
-        return view
-
     def layer_reprs(self, layer: int) -> np.ndarray:
         """Read-only (H, sealed, d_head) view of every head's summaries."""
         view = self._reprs[layer][:, : self._layer_count(layer, self._slabs, "sealed chunks")]

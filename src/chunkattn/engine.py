@@ -158,14 +158,17 @@ class Engine:
         K_rot = rope.apply(K, np.arange(K.shape[1]) % l)
         for head in range(H):
             self.store.bulk_append(layer, head, Q[head], K[head], V[head], K_rot[head])
-        reprs = np.stack([self.store.repr_matrix(layer, head) for head in range(H)])
-        block_ids = [np.zeros((H, bounds[0][1], 0), dtype=np.int64)]
-        self._record_block(layer, 0, bounds[0][1], block_ids[0], None)
-        self._note_encode_window(bounds[0][1])
+        reprs = self.store.layer_reprs(layer)
+        # Chunk 0 selects nothing; with scores on, it records zero candidates.
+        l_0 = bounds[0][1]
+        block_ids = [np.zeros((H, l_0, 0), dtype=np.int64)]
+        no_scores = np.zeros((H, l_0, 0)) if self.record_scores else None
+        self._record_block(layer, 0, block_ids[0], no_scores)
+        self._note_encode_window(l_0)
         for c, (start, end) in enumerate(bounds[1:], 1):
             l_c = end - start
-            ids, diag = self._encode_selection_ids(layer, c, l_c, start, reprs, Q[:, start:end])
-            self._record_block(layer, start, l_c, ids, diag)
+            ids, scores = self._encode_selection_ids(layer, c, l_c, start, reprs, Q[:, start:end])
+            self._record_block(layer, start, ids, scores)
             self._note_encode_window(ids.shape[-1] * l + l_c)
             block_ids.append(ids)
         n_full = self.layout.m_complete * l
@@ -197,22 +200,18 @@ class Engine:
             counters.encode_max_attended_rows = rows
             counters.encode_max_rotary_position = rows - 1
 
-    def _record_block(self, layer, token0, l_c, ids, diag) -> None:
-        """Trace one chunk's (H, l_c, n_sel) ids as l_c * H rows, token-major."""
-        H = self.model.config.n_heads
+    def _record_block(self, layer, token0, ids, scores) -> None:
+        """Trace one chunk's (H, l_c, n_sel) ids, with its (H, l_c, C)
+        scores when they are recorded, as l_c * H rows, token-major."""
+        H, l_c = ids.shape[:2]
         rows = l_c * H
-        candidates = scores = None
-        if diag is not None:
-            cand_ids, score_mat = diag
-            candidates = [cand_ids] * rows
-            by_row = score_mat.transpose(1, 0, 2).reshape(rows, score_mat.shape[-1])
-            scores = [tuple(row) for row in by_row.tolist()]
+        if scores is not None:
+            scores = scores.transpose(1, 0, 2).reshape(rows, scores.shape[-1])
         self.trace.append_block(
             np.repeat(np.arange(token0, token0 + l_c), H),
             layer,
             np.tile(np.arange(H), l_c),
             ids.transpose(1, 0, 2).reshape(rows, ids.shape[-1]),
-            candidates,
             scores,
         )
 
@@ -220,9 +219,9 @@ class Engine:
         """Per-token selected chunk ids for one chunk's queries.
 
         Returns ids of shape (H, l_c, n_sel), ascending along the last axis,
-        plus (candidate_ids, scores) when score recording is on. Candidates
-        are the sealed chunks strictly between the first chunk and the
-        chunk just before this one.
+        plus the (H, l_c, C) scores when score recording is on, else None.
+        Candidates are the C sealed chunks strictly between the first chunk
+        and the chunk just before this one.
         """
         cfg = self.config
         H = self.model.config.n_heads
@@ -232,13 +231,17 @@ class Engine:
         first, last = 0, c - 1
         cand_ids = np.arange(1, c - 1, dtype=np.int64)
 
-        if policy in ("fix-layer", "fix-head-and-layer") and layer > 0:
-            ids = self._layer0_encode_ids[c]
-            diag = None
-            if self.record_scores and cand_ids.size:
-                scores = np.einsum("htd,hcd->htc", q_blk, reprs[:, 1 : c - 1])
-                diag = (tuple(int(i) for i in cand_ids), scores)
-            return ids, diag
+        reuse = policy in ("fix-layer", "fix-head-and-layer") and layer > 0
+        scores = None
+        if self.record_scores or (base in ("top-k", "no-first") and not reuse):
+            out = None
+            if self.record_scores:
+                # Laid out token-major, as the trace keeps its rows, so the
+                # trace holds this array and not a copy of it.
+                out = np.empty((l_c, H, cand_ids.size)).transpose(1, 0, 2)
+            scores = np.einsum("htd,hcd->htc", q_blk, reprs[:, 1 : c - 1], out=out)
+        if reuse:
+            return self._layer0_encode_ids[c], scores
 
         if base == "no-first":
             mandatory = np.array([last], dtype=np.int64)
@@ -250,10 +253,6 @@ class Engine:
                 else np.array([first], dtype=np.int64)
             )
             take = min(k - 2, cand_ids.size)
-
-        scores = None
-        if cand_ids.size and (base in ("top-k", "no-first") or self.record_scores):
-            scores = np.einsum("htd,hcd->htc", q_blk, reprs[:, 1 : c - 1])
 
         if take == 0:
             picked = np.zeros((H, l_c, 0), dtype=np.int64)
@@ -279,10 +278,7 @@ class Engine:
         ids = np.sort(np.concatenate([picked, mand], axis=-1), axis=-1)
         if policy in ("fix-layer", "fix-head-and-layer") and layer == 0:
             self._layer0_encode_ids[c] = ids
-        diag = None
-        if self.record_scores and scores is not None:
-            diag = (tuple(int(i) for i in cand_ids), scores)
-        return ids, diag
+        return ids, scores if self.record_scores else None
 
     # -- generation --------------------------------------------------------
 
@@ -398,14 +394,11 @@ class Engine:
 
     def _record_decode(self, step, layer, ids, scores) -> None:
         """Trace one row per head of the layer's selection."""
-        trace = self.trace
-        if not self.record_scores:
-            for head, chunks in enumerate(ids.tolist()):
-                trace.append(step, layer, head, chunks)
+        if self.record_scores:
+            self.trace.append_block(step, layer, np.arange(len(ids)), ids, scores)
             return
-        candidates = tuple(range(1, 1 + scores.shape[1]))
-        for head, (chunks, row) in enumerate(zip(ids.tolist(), scores.tolist())):
-            trace.append(step, layer, head, chunks, candidates=candidates, scores=tuple(row))
+        for head, chunks in enumerate(ids.tolist()):
+            self.trace.append(step, layer, head, chunks)
 
     def counters_dict(self) -> dict:
         out = self.counters.to_dict()

@@ -52,7 +52,8 @@ def chunk_representation(q_c: np.ndarray, K: np.ndarray, return_weights: bool = 
 
 def build_chunk_repr(layer: int, head: int, first: int, Q, K, V) -> np.ndarray:
     """Representation vectors of sealed chunks first, first + 1, ... of
-    (layer, head), from their (chunks, l, d_head) states.
+    (layer, head), from their (chunks, l, d_head) states; further leading
+    axes (e.g. heads) are batch dimensions.
 
     The same matmuls as `chunk_representation(chunk_query(...))` with a
     leading chunk axis, so every row equals the one-chunk result bit for bit.
@@ -63,6 +64,6 @@ def build_chunk_repr(layer: int, head: int, first: int, Q, K, V) -> np.ndarray:
     finite = np.isfinite(c).all(axis=-1)
     if not finite.all():
         raise FloatingPointError(
-            f"non-finite representation for chunk {first + int(np.argmin(finite))}"
+            f"non-finite representation for chunk {first + int(np.nonzero(~finite)[-1][0])}"
         )
     return c

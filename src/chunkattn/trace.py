@@ -23,12 +23,15 @@ class SelectionTrace:
 
     Rows are stored as columns: step, layer, head and width in one (R, 4)
     int matrix, and the selected chunk ids in an (R, K) matrix padded with
-    -1, where K is the widest selection seen. Per-row candidates and scores
-    are kept as lists only once some row records them. `records` rebuilds
-    `TraceRecord` objects on demand.
+    -1, where K is the widest selection seen. Every selection ranks the
+    chunks strictly between the first and the last, 1..C, so a block
+    written with scores keeps them as one (rows, C) float matrix whose
+    column i scores chunk i + 1. `records` rebuilds `TraceRecord` objects
+    on demand.
 
-    Single-row `append`s, one per (layer, head) in each decode step, wait
-    in a list and move into the columns at the next read or block write.
+    Single-row `append`s, one per (layer, head) in each unscored decode
+    step, wait in a list and move into the columns at the next read or
+    block write.
     """
 
     def __init__(self, meta: dict | None = None):
@@ -37,8 +40,7 @@ class SelectionTrace:
         self._k = 0
         self._cols = np.empty((0, 4), dtype=np.int64)
         self._ids = np.empty((0, 0), dtype=np.int64)
-        self._candidates: list | None = None
-        self._scores: list | None = None
+        self._score_blocks: list = []
         self._pending: list = []
 
     def _reserve(self, rows: int, width: int) -> None:
@@ -56,30 +58,23 @@ class SelectionTrace:
         cols[:n] = self._cols[:n]
         self._ids, self._cols = ids, cols
 
-    def _extend_extras(self, count: int, candidates, scores) -> None:
-        """Add `count` rows' candidates and scores: per-row lists, or None
-        when the new rows carry none."""
-        if self._candidates is None:
-            if candidates is None and scores is None:
-                return
-            self._candidates, self._scores = [None] * len(self), [None] * len(self)
-        self._candidates.extend([None] * count if candidates is None else candidates)
-        self._scores.extend([None] * count if scores is None else scores)
-
-    def append(self, step, layer, head, chunks, candidates=None, scores=None) -> None:
-        if candidates is not None or scores is not None or self._candidates is not None:
-            self._extend_extras(1, [candidates], [scores])
+    def append(self, step, layer, head, chunks) -> None:
         self._pending.append((step, layer, head, tuple(chunks)))
 
-    def append_block(self, step, layer, head, ids, candidates=None, scores=None) -> None:
+    def append_block(self, step, layer, head, ids, scores=None) -> None:
         """Append len(ids) rows at once. `step`, `layer` and `head` are ints
-        or per-row arrays; `ids` is a (rows, width) id matrix; `candidates`
-        and `scores` are per-row lists or None."""
+        or per-row arrays; `ids` is a (rows, width) id matrix. `scores`, if
+        given, is the rows' (rows, C) matrix of candidate scores; it is
+        kept, not copied."""
         ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
             return
         self._flush()
-        self._extend_extras(len(ids), candidates, scores)
+        if scores is not None:
+            scores = np.asarray(scores, dtype=np.float64)
+            if scores.ndim != 2 or len(scores) != len(ids):
+                raise ValueError(f"scores must be a ({len(ids)}, C) matrix, got {scores.shape}")
+            self._score_blocks.append((self._n, scores))
         self._write(step, layer, head, ids.shape[1], ids)
 
     def _flush(self) -> None:
@@ -108,6 +103,10 @@ class SelectionTrace:
         return self._n + len(self._pending)
 
     @property
+    def step(self) -> np.ndarray:
+        return self._column(0)
+
+    @property
     def layer(self) -> np.ndarray:
         return self._column(1)
 
@@ -118,6 +117,12 @@ class SelectionTrace:
     @property
     def width(self) -> np.ndarray:
         return self._column(3)
+
+    @property
+    def score_blocks(self) -> list:
+        """(first row, (rows, C) scores) of every block written with
+        scores, in row order."""
+        return list(self._score_blocks)
 
     @property
     def chunk_ids(self) -> np.ndarray:
@@ -148,13 +153,14 @@ class SelectionTrace:
     def records(self) -> list:
         """The rows as `TraceRecord`s, built on each access."""
         steps, layers, heads, chunks = self._python_columns()
-        none = [None] * self._n
-        return [
-            TraceRecord(s, la, h, tuple(c), cand, sc)
-            for s, la, h, c, cand, sc in zip(
-                steps, layers, heads, chunks, self._candidates or none, self._scores or none
-            )
+        records = [
+            TraceRecord(s, la, h, tuple(c)) for s, la, h, c in zip(steps, layers, heads, chunks)
         ]
+        for r, block in self._score_blocks:
+            candidates = tuple(range(1, block.shape[1] + 1))
+            for rec, scores in zip(records[r : r + len(block)], block.tolist()):
+                rec.candidates, rec.scores = candidates, tuple(scores)
+        return records
 
     def __iter__(self):
         return iter(self.records)
@@ -167,11 +173,10 @@ class SelectionTrace:
     def to_jsonable(self) -> dict:
         steps, layers, heads, chunks = self._python_columns()
         rows = [list(row) for row in zip(steps, layers, heads, chunks)]
-        if self._candidates is not None:
-            for row, cand, sc in zip(rows, self._candidates, self._scores):
-                if cand is not None:
-                    row.append(list(cand))
-                    row.append([float(s) for s in (sc or ())])
+        for r, block in self._score_blocks:
+            candidates = list(range(1, block.shape[1] + 1))
+            for row, scores in zip(rows[r : r + len(block)], block.tolist()):
+                row += (candidates, scores)
         return {"meta": self.meta, "records": rows}
 
     def to_json(self, path) -> None:

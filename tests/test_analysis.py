@@ -105,34 +105,30 @@ def test_cover_rate_monotone_as_records_accumulate():
 
 # -- hit rate -----------------------------------------------------------------
 
-def scored_trace(rows):
+def scored_trace(scores, chosen):
+    """One row per step, in one scored block: column i of `scores` scores
+    candidate chunk i + 1, and every row selected `chosen`."""
+    scores = np.asarray(scores, dtype=np.float64)
     trace = SelectionTrace()
-    for step, (cands, scores, chosen) in enumerate(rows):
-        trace.append(step, 0, 0, chosen, candidates=cands, scores=scores)
+    trace.append_block(np.arange(len(scores)), 0, 0, np.tile(chosen, (len(scores), 1)), scores)
     return trace
 
 
 def test_hit_rate_target_always_first():
-    trace = scored_trace([((1, 2, 3), (9.0, 1.0, 0.0), (0, 1, 4))] * 5)
+    trace = scored_trace([(9.0, 1.0, 0.0)] * 5, (0, 1, 4))
     assert hit_rate(trace, target=1, top=1) == 1.0
 
 
 def test_hit_rate_target_never_in_top5():
-    cands = tuple(range(1, 9))
     scores = tuple(float(10 - i) for i in range(1, 9))  # descending by id
-    trace = scored_trace([(cands, scores, (0, 1, 9))] * 3)
+    trace = scored_trace([scores] * 3, (0, 1, 9))
     assert hit_rate(trace, target=8, top=5) == 0.0
     assert hit_rate(trace, target=8, top=1) == 0.0
 
 
 def test_hit_rate_top5_at_least_top1():
     rng = np.random.default_rng(2)
-    rows = []
-    for _ in range(50):
-        cands = tuple(range(1, 11))
-        scores = tuple(rng.normal(size=10))
-        rows.append((cands, scores, (0, 11)))
-    trace = scored_trace(rows)
+    trace = scored_trace(rng.normal(size=(50, 10)), (0, 11))
     assert hit_rate(trace, 4, 5) >= hit_rate(trace, 4, 1)
 
 

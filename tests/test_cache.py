@@ -29,7 +29,7 @@ def test_append_seals_on_chunk_boundary():
     # Q rows for the sealed chunk are gone
     assert len(store._recent_q[0][0]) == 0
     assert store.sealed_count(0, 0) == 1
-    assert len(store.repr_matrix(0, 0)) == 1
+    assert len(store.layer_reprs(0)[0]) == 1
 
 
 def test_bulk_append_matches_streaming():
@@ -46,7 +46,7 @@ def test_bulk_append_matches_streaming():
     for cid in range(2):
         np.testing.assert_array_equal(bulk._slabs[0][0][cid].k, stream._slabs[0][0][cid].k)
         np.testing.assert_allclose(
-            bulk.repr_matrix(0, 0)[cid], stream.repr_matrix(0, 0)[cid]
+            bulk.layer_reprs(0)[0][cid], stream.layer_reprs(0)[0][cid]
         )
     for a, b in zip(
         (bulk._recent_q, bulk._recent_k, bulk._recent_v, bulk._recent_kr),
@@ -195,8 +195,8 @@ def test_representation_exists_iff_sealed():
     for i in range(6):
         store.append_token(0, 0, *rng.normal(size=(4, 4)))
     assert store.sealed_count(0, 0) == 1
-    assert len(store.repr_matrix(0, 0)) == 1
-    assert store.repr_matrix(0, 0).shape == (1, 4)
+    assert len(store.layer_reprs(0)[0]) == 1
+    assert store.layer_reprs(0)[0].shape == (1, 4)
 
 
 def test_peak_hot_tokens_tracks_recent_and_slabs():

@@ -234,6 +234,31 @@ def test_record_scores_populates_candidates(tiny_model):
         assert len(rec.candidates) == len(rec.scores)
 
 
+@pytest.mark.parametrize("policy", ["top-k", "fix-layer"])
+def test_scored_rows_agree_between_prefill_and_decode(tiny_model, policy):
+    # Every row of a scoring engine carries its candidates' scores, the
+    # zero-candidate rows of chunks 0-2 included, whether its token was
+    # encoded or decoded.
+    l, short, steps = 8, 12, 30
+    decoded = make_engine(tiny_model, l=l, k=4, policy=policy, record_scores=True)
+    decoded.encode(random_tokens(short))
+    tokens = np.concatenate([random_tokens(short), decoded.generate(steps).tokens])
+    prefilled = make_engine(tiny_model, l=l, k=4, policy=policy, record_scores=True)
+    prefilled.encode(tokens)
+    rows = [
+        {(r.step, r.layer, r.head): r for r in engine.trace.records}
+        for engine in (prefilled, decoded)
+    ]
+    assert rows[0].keys() == rows[1].keys()
+    assert len(rows[0]) == len(tokens) * 2 * 4
+    for key, rec in rows[0].items():
+        other = rows[1][key]
+        assert rec.candidates is not None and other.candidates is not None, key
+        assert len(rec.candidates) == len(other.candidates) == max(0, key[0] // l - 2), key
+        assert rec.chunks == other.chunks, key
+        np.testing.assert_allclose(rec.scores, other.scores, rtol=0, atol=1e-12)
+
+
 def test_record_scores_with_layer_sharing(tiny_model):
     # reused layer-0 selections still get their own layer's diagnostic scores
     engine = make_engine(tiny_model, l=32, k=4, policy="fix-layer", record_scores=True)
@@ -410,7 +435,7 @@ def test_sealed_slabs_hold_keys_rotated_by_their_offset(tiny_model, residency, b
             np.testing.assert_array_equal(v_slab, V[cid])
         # summaries stay position-free: built from the unrotated rows
         np.testing.assert_array_equal(
-            store.repr_matrix(layer, head), cache_module.build_chunk_repr(layer, head, 0, Q, K, V)
+            store.layer_reprs(layer)[head], cache_module.build_chunk_repr(layer, head, 0, Q, K, V)
         )
 
 

@@ -140,6 +140,10 @@ def test_build_chunk_repr_is_bit_equal_to_one_chunk_at_a_time(l):
     for i in (0, 17, 39):
         one = build_chunk_repr(1, 2, i, Q[i : i + 1], K[i : i + 1], V[i : i + 1])
         assert np.array_equal(one[0], batched[i])
+    # a leading head axis, as the passkey harness passes, gives each head's rows
+    heads = build_chunk_repr(0, 0, 0, *(np.stack([a, a[::-1]]) for a in (Q, K, V)))
+    assert np.array_equal(heads[0], batched)
+    assert np.array_equal(heads[1], batched[::-1])
 
 
 def test_build_chunk_repr_names_the_non_finite_chunk():
@@ -149,6 +153,10 @@ def test_build_chunk_repr_names_the_non_finite_chunk():
     # the batch starts at chunk 10, so its row 4 is chunk 14
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="chunk 14$"):
         build_chunk_repr(0, 0, 10, Q, K, V)
+    # with a leading head axis, the chunk is named by its index within the head
+    stacked = [np.stack([np.zeros_like(a), a]) for a in (Q, K, V)]
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="chunk 14$"):
+        build_chunk_repr(0, 0, 10, *stacked)
 
 
 @settings(max_examples=30, deadline=None)

@@ -203,7 +203,7 @@ def build_passkey(
 
 def instance_representations(instance: PasskeyInstance) -> np.ndarray:
     """(H, m, d) chunk representations through the real summary pipeline."""
-    return build_chunk_repr(0, 0, 0, instance.queries, instance.keys, instance.values)
+    return build_chunk_repr(0, instance.queries, instance.keys, instance.values)
 
 
 def run_passkey_trial(

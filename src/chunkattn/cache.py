@@ -12,17 +12,21 @@ Keys arrive twice: unrotated, and rotated by their offset inside their
 chunk. Slabs and `gather` hold the rotated rows, so a query rotated once per
 slot attends them at any remapped position. Summaries must stay
 position-free, so the recent region also keeps the Q and unrotated K rows
-that sealing summarizes; both are dropped at seal.
+that sealing summarizes. Each layer's recent region is one (4, H, l, d_head)
+buffer of Q, K, V and rotated-K rows with one length per head; a full buffer
+is summarized in one batched call and its K_rot and V rows copied out once.
 
 The store keeps a running count of hot tokens (hot slab rows plus recent
 rows over all (layer, head) pairs), updated on every residency change, so
 sampling the peak costs O(1) per write or gather; `hot_tokens()` is the
-slow recount.
+slow recount. A seal installs the heads' slabs in head order, each while
+that head's l recent rows still count, and drops them before the next, so
+the peak is sampled where per-head appends would sample it. Budget
+residency keeps each head's hot slabs in a dict in stamp order and evicts
+from its front.
 
-One decode loop writes per sequence, appending one token to every head
-of a layer, so a layer's heads hold equally many sealed chunks and recent
-rows whenever the engine gathers; `gather` reads all of a layer's heads at
-once and rejects a layer whose heads disagree.
+`append_token` writes, and `gather` reads, every head of a layer at once;
+both reject a layer whose heads hold different numbers of recent rows.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ import numpy as np
 from .representation import build_chunk_repr
 
 RESIDENCY_MODES = ("hot", "offload", "budget")
+
+
+def _common_count(layer: int, per_head, what: str) -> int:
+    """The one value of the per-head counts of `layer`."""
+    counts = set(per_head)
+    if len(counts) != 1:
+        raise ValueError(f"heads of layer {layer} hold different numbers of {what}: {counts}")
+    return counts.pop()
 
 
 class _Slab:
@@ -45,14 +57,9 @@ class _Slab:
 
     def __init__(self, k: np.ndarray, v: np.ndarray, stamp: int):
         self.rows, self.dim = k.shape
-        k = np.ascontiguousarray(k)
-        v = np.ascontiguousarray(v)
-        k.flags.writeable = False
-        v.flags.writeable = False
-        self.k = k
-        self.v = v
-        self.k_bytes = None
-        self.v_bytes = None
+        self.k, self.v = np.ascontiguousarray(k), np.ascontiguousarray(v)
+        self.k.flags.writeable = self.v.flags.writeable = False
+        self.k_bytes = self.v_bytes = None
         self.hot = True
         self.stamp = stamp
 
@@ -84,11 +91,12 @@ class ChunkStore:
         self.chunk_size = chunk_size
         self.working_set_tokens = working_set_tokens
         self._slabs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
+        # budget residency only: each head's hot slabs, oldest stamp first
+        self._lru = [[{} for _ in range(n_heads)] for _ in range(n_layers)]
         self._reprs = [np.empty((n_heads, 0, d_head)) for _ in range(n_layers)]
-        self._recent_q = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._recent_k = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._recent_v = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        self._recent_kr = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
+        # rows 0..3 of a layer's buffer: Q, K, V and rotated K
+        self._recent = [np.empty((4, n_heads, chunk_size, d_head)) for _ in range(n_layers)]
+        self._recent_lens = [[0] * n_heads for _ in range(n_layers)]
         self._clock = 0
         self._hot_level = 0
         self.tokens_loaded_this_step = 0
@@ -125,6 +133,7 @@ class ChunkStore:
         for layer in range(self.n_layers):
             for head in range(self.n_heads):
                 slabs = self._slabs[layer][head]
+                lru = self._lru[layer][head] = {}
                 if mode == "offload":
                     for slab in slabs:
                         if slab.hot:
@@ -134,17 +143,17 @@ class ChunkStore:
                         if not slab.hot:
                             self._promote(slab, *slab.fetch())
                 else:
-                    self._evict_over_budget(slabs)
+                    lru.update((s, None) for s in sorted(slabs, key=lambda s: s.stamp) if s.hot)
+                    self._evict_over_budget(lru)
         self._note_hot_level()
 
-    def _evict_over_budget(self, slabs) -> None:
-        hot = [s for s in slabs if s.hot]
-        hot_tokens = sum(s.rows for s in hot)
-        hot.sort(key=lambda s: s.stamp)
-        while hot and hot_tokens > self.budget:
-            victim = hot.pop(0)
+    def _evict_over_budget(self, lru: dict) -> None:
+        """Offload the oldest-stamped of one head's hot slabs `lru` until
+        they fit the budget; every slab holds chunk_size rows."""
+        while lru and len(lru) * self.chunk_size > self.budget:
+            victim = next(iter(lru))
+            del lru[victim]
             self._offload(victim)
-            hot_tokens -= victim.rows
 
     def _offload(self, slab: _Slab) -> None:
         """Move a hot slab to the byte tier."""
@@ -170,30 +179,10 @@ class ChunkStore:
 
     # -- writes ------------------------------------------------------------
 
-    def _recent(self, layer: int, head: int) -> tuple:
-        """The recent region's Q, K, V and rotated K row lists."""
-        return tuple(
-            rows[layer][head]
-            for rows in (self._recent_q, self._recent_k, self._recent_v, self._recent_kr)
-        )
-
-    def _seal(self, layer: int, head: int) -> int:
-        buffers = self._recent(layer, head)
-        Q, K, V, K_rot = (np.stack(rows)[None] for rows in buffers)
-        chunk_id = len(self._slabs[layer][head])
-        reprs = build_chunk_repr(layer, head, chunk_id, Q, K, V)
-        # the peak is sampled inside _install_sealed, while these rows still
-        # count as recent
-        self._install_sealed(layer, head, reprs, K_rot, V)
-        for rows in buffers:
-            rows.clear()
-        self._hot_level -= K.shape[1]
-        return chunk_id
-
     def _install_sealed(self, layer, head, reprs, K, V) -> None:
         """Store the next chunks' summaries `reprs` (chunks, d_head) and
         their (chunks, l, d_head) K/V rows as slabs, one after another."""
-        slabs = self._slabs[layer][head]
+        slabs, lru = self._slabs[layer][head], self._lru[layer][head]
         self._write_reprs(layer, head, len(slabs), reprs)
         for k, v in zip(K, V):
             self._clock += 1
@@ -203,7 +192,8 @@ class ChunkStore:
             if self.mode == "offload":
                 self._offload(slab)
             elif self.mode == "budget":
-                self._evict_over_budget(slabs)
+                lru[slab] = None
+                self._evict_over_budget(lru)
             self._note_hot_level()
 
     def _write_reprs(self, layer: int, head: int, first: int, reprs: np.ndarray) -> None:
@@ -218,21 +208,34 @@ class ChunkStore:
             self._reprs[layer] = mat = grown
         mat[head, first:end] = reprs
 
-    def append_token(self, layer: int, head: int, q, k, v, k_rot):
-        """Add one token's unrotated states and its key rotated by its
-        offset in the chunk; returns the sealed chunk id when this token
-        completes a chunk, else None."""
-        d = self.d_head
-        self._recent_q[layer][head].append(np.asarray(q, dtype=np.float64).reshape(d))
-        self._recent_v[layer][head].append(np.asarray(v, dtype=np.float64).reshape(d))
-        self._recent_kr[layer][head].append(np.asarray(k_rot, dtype=np.float64).reshape(d))
-        k_rows = self._recent_k[layer][head]
-        k_rows.append(np.asarray(k, dtype=np.float64).reshape(d))
-        self._hot_level += 1
-        if len(k_rows) == self.chunk_size:
-            return self._seal(layer, head)
-        self._note_hot_level()
-        return None
+    def append_token(self, layer: int, q, k, v, k_rot):
+        """Add one token's unrotated (H, d_head) states and its keys rotated
+        by its offset in the chunk to every head of `layer`; returns the
+        sealed chunk id when this token completes a chunk, else None."""
+        H, l = self.n_heads, self.chunk_size
+        r = self.recent_len(layer)
+        buf = self._recent[layer]
+        for i, rows in enumerate((q, k, v, k_rot)):
+            if np.shape(rows) != (H, self.d_head):
+                raise ValueError(f"expected ({H}, {self.d_head}) rows, got {np.shape(rows)}")
+            buf[i, :, r] = rows
+        lens = self._recent_lens[layer]
+        if r + 1 < l:
+            lens[:] = [r + 1] * H
+            self._hot_level += H
+            self._note_hot_level()
+            return None
+        chunk_id = _common_count(layer, map(len, self._slabs[layer]), "sealed chunks")
+        # one chunk per head: (H, 1, l, d_head) Q, K, V, then V and K_rot copied
+        reprs = build_chunk_repr(chunk_id, *buf[:3, :, None])
+        V, K_rot = buf[2:, :, None].copy()
+        for head in range(H):
+            lens[head] = l
+            self._hot_level += 1
+            self._install_sealed(layer, head, reprs[head], K_rot[head], V[head])
+            lens[head] = 0
+            self._hot_level -= l
+        return chunk_id
 
     def bulk_append(self, layer: int, head: int, Q, K, V, K_rot) -> list:
         """Ingest a block of tokens at once, sealing every complete chunk.
@@ -243,7 +246,7 @@ class ChunkStore:
         Q, K, V, K_rot = (np.asarray(a, dtype=np.float64) for a in (Q, K, V, K_rot))
         if not Q.shape == K.shape == V.shape == K_rot.shape or Q.ndim != 2:
             raise ValueError("Q/K/V/K_rot must be matching (tokens, d_head) blocks")
-        if len(self._recent_k[layer][head]):
+        if self._recent_lens[layer][head]:
             raise ValueError("bulk_append requires an empty recent buffer")
         n = Q.shape[0]
         l = self.chunk_size
@@ -252,10 +255,10 @@ class ChunkStore:
         sealed = list(range(first, first + n // l))
         if sealed:
             blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V, K_rot)]
-            reprs = build_chunk_repr(layer, head, first, *blocks[:3])
+            reprs = build_chunk_repr(first, *blocks[:3])
             self._install_sealed(layer, head, reprs, blocks[3], blocks[2])
-        for rows, a in zip(self._recent(layer, head), (Q, K, V, K_rot)):
-            rows.extend(a[n_full:].copy())
+        self._recent[layer][:, head, : n - n_full] = [a[n_full:] for a in (Q, K, V, K_rot)]
+        self._recent_lens[layer][head] = n - n_full
         self._hot_level += n - n_full
         self._note_hot_level()
         return sealed
@@ -265,21 +268,16 @@ class ChunkStore:
     def sealed_count(self, layer: int, head: int) -> int:
         return len(self._slabs[layer][head])
 
-    def recent_len(self, layer: int, head: int) -> int:
-        return len(self._recent_k[layer][head])
+    def recent_len(self, layer: int) -> int:
+        """The number of recent rows every head of `layer` holds."""
+        return _common_count(layer, self._recent_lens[layer], "recent rows")
 
     def layer_reprs(self, layer: int) -> np.ndarray:
         """Read-only (H, sealed, d_head) view of every head's summaries."""
-        view = self._reprs[layer][:, : self._layer_count(layer, self._slabs, "sealed chunks")]
+        sealed = _common_count(layer, map(len, self._slabs[layer]), "sealed chunks")
+        view = self._reprs[layer][:, :sealed]
         view.flags.writeable = False
         return view
-
-    def _layer_count(self, layer: int, per_head, what: str) -> int:
-        """The common length of the layer's per-head lists `per_head`."""
-        counts = {len(rows) for rows in per_head[layer]}
-        if len(counts) != 1:
-            raise ValueError(f"heads of layer {layer} hold different numbers of {what}: {counts}")
-        return counts.pop()
 
     def gather(self, layer: int, chunk_ids):
         """Rotated K and V rows of each head's selected sealed chunks, then
@@ -297,7 +295,7 @@ class ChunkStore:
         H, l, d = self.n_heads, self.chunk_size, self.d_head
         if ids.ndim != 2 or ids.shape[0] != H:
             raise ValueError(f"chunk ids must be an ({H}, width) matrix, got shape {ids.shape}")
-        recent = self._layer_count(layer, self._recent_k, "recent rows")
+        recent = self.recent_len(layer)
         width = ids.shape[1]
         rows = width * l + recent
         K = np.empty((H, rows, d))
@@ -309,7 +307,7 @@ class ChunkStore:
         slab_bytes = l * d * K.itemsize
         budget = self.mode == "budget"
         for head, head_ids in enumerate(ids.tolist()):
-            slabs = self._slabs[layer][head]
+            slabs, lru = self._slabs[layer][head], self._lru[layer][head]
             prev = -1
             for j, cid in enumerate(head_ids):
                 if not 0 <= cid < len(slabs):
@@ -325,6 +323,8 @@ class ChunkStore:
                     self.tokens_loaded_total += slab.rows
                     if budget:
                         self._promote(slab, *slab.fetch())
+                if budget:
+                    lru[slab] = lru.pop(slab, None)
                 if slab.hot:
                     K[head, j * l : (j + 1) * l] = slab.k
                     V[head, j * l : (j + 1) * l] = slab.v
@@ -334,11 +334,10 @@ class ChunkStore:
                     v_bytes[at : at + slab_bytes] = slab.v_bytes
             if budget:
                 # evict once per head so the working set cannot thrash itself
-                self._evict_over_budget(slabs)
-            if recent:
-                K[head, width * l :] = self._recent_kr[layer][head]
-                V[head, width * l :] = self._recent_v[layer][head]
+                self._evict_over_budget(lru)
             self._note_hot_level()
+        K[:, width * l :] = self._recent[layer][3, :, :recent]
+        V[:, width * l :] = self._recent[layer][2, :, :recent]
         self.tokens_gathered_this_step += H * rows
         self.tokens_gathered_total += H * rows
         return K, V
@@ -355,7 +354,7 @@ class ChunkStore:
         for layer in range(self.n_layers):
             for head in range(self.n_heads):
                 level += sum(s.rows for s in self._slabs[layer][head] if s.hot)
-                level += len(self._recent_k[layer][head])
+            level += sum(self._recent_lens[layer])
         return level
 
     def residency_flags(self, layer: int, head: int) -> list:

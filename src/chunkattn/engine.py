@@ -332,7 +332,7 @@ class Engine:
             elif self.config.policy in ("fix-layer", "fix-head-and-layer"):
                 ids = layer0_ids
             self._record_decode(step, layer, ids, scores)
-            recent = store.recent_len(layer, 0)
+            recent = store.recent_len(layer)
             position = remap(ids, self.layout, recent, mc.pretrain_length)
             k_rows, v_rows = store.gather(layer, ids)
             if k_rows.shape[1] != position:
@@ -358,8 +358,7 @@ class Engine:
             max_pos = max(max_pos, position)
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
-            for head in range(H):
-                store.append_token(layer, head, Q[head, 0], K[head, 0], V[head, 0], k_self[head, 0])
+            store.append_token(layer, Q[:, 0], K[:, 0], V[:, 0], k_self[:, 0])
         logits = self.model.logits_from_hidden(h)[0]
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"non-finite logits at decode step {step}")

@@ -254,9 +254,9 @@ def full_attention_forward(
 ):
     """Vanilla causal attention over the whole sequence at positions 0..n-1.
 
-    This is the oracle the chunked engine is checked against. Queries are
-    processed in blocks so long sequences stay within memory; results are
-    identical to the unblocked computation.
+    This is the oracle the chunked engine is checked against. Queries run in
+    blocks that attend only the keys up to their own end, so long sequences
+    stay within memory; results match the unblocked ones to rounding.
 
     With return_state=True also returns per-layer (rotated K, V) caches and
     the final hidden states, for incremental oracle decoding.
@@ -282,8 +282,8 @@ def full_attention_forward(
         for head in range(cfg.n_heads):
             for q0 in range(0, n, block_size):
                 q1 = min(q0 + block_size, n)
-                mask = causal_mask(q1 - q0, n, offset=q0)
-                out[head, q0:q1] = attend(q_rot[head, q0:q1], k_rot[head], V[head], mask)
+                mask = causal_mask(q1 - q0, q1, offset=q0)
+                out[head, q0:q1] = attend(q_rot[head, q0:q1], k_rot[head, :q1], V[head, :q1], mask)
         h = h + model.merge_heads(out) @ model.layers[layer].wo
         h = model.mlp(layer, h)
         if return_state:

@@ -50,10 +50,10 @@ def chunk_representation(q_c: np.ndarray, K: np.ndarray, return_weights: bool = 
     return c
 
 
-def build_chunk_repr(layer: int, head: int, first: int, Q, K, V) -> np.ndarray:
-    """Representation vectors of sealed chunks first, first + 1, ... of
-    (layer, head), from their (chunks, l, d_head) states; further leading
-    axes (e.g. heads) are batch dimensions.
+def build_chunk_repr(first: int, Q, K, V) -> np.ndarray:
+    """Representation vectors of sealed chunks first, first + 1, ..., from
+    their (chunks, l, d_head) states; further leading axes (e.g. heads) are
+    batch dimensions.
 
     The same matmuls as `chunk_representation(chunk_query(...))` with a
     leading chunk axis, so every row equals the one-chunk result bit for bit.

@@ -21,38 +21,64 @@ def test_append_seals_on_chunk_boundary():
     store = make_store(l=4)
     rng = np.random.default_rng(0)
     for i in range(3):
-        assert store.append_token(0, 0, *rng.normal(size=(4, 4))) is None
-    assert store.recent_len(0, 0) == 3
-    assert len(store._recent_q[0][0]) == 3
-    assert store.append_token(0, 0, *rng.normal(size=(4, 4))) == 0
-    assert store.recent_len(0, 0) == 0
+        assert store.append_token(0, *rng.normal(size=(4, 1, 4))) is None
+    assert store.recent_len(0) == 3
+    assert store._recent_lens[0] == [3]
+    assert store.append_token(0, *rng.normal(size=(4, 1, 4))) == 0
+    assert store.recent_len(0) == 0
     # Q rows for the sealed chunk are gone
-    assert len(store._recent_q[0][0]) == 0
+    assert store._recent_lens[0] == [0]
     assert store.sealed_count(0, 0) == 1
     assert len(store.layer_reprs(0)[0]) == 1
 
 
+def _slab_rows(slab):
+    return (slab.k, slab.v) if slab.hot else slab.fetch()
+
+
 def test_bulk_append_matches_streaming():
+    for l in (1, 4):
+        for residency in ("hot", "offload", "budget"):
+            check_bulk_append_matches_streaming(l, residency)
+
+
+def check_bulk_append_matches_streaming(l, residency):
+    # per-head bulk appends and layer-wide token appends build the same store
+    H, d, chunks = 3, 4, 3
+    n = chunks * l + l - 1
     rng = np.random.default_rng(1)
-    Q, K, V, K_rot = (rng.normal(size=(11, 4)) for _ in range(4))
-    bulk = make_store(l=4)
-    sealed = bulk.bulk_append(0, 0, Q, K, V, K_rot)
-    assert sealed == [0, 1]
-    stream = make_store(l=4)
-    for i in range(11):
-        stream.append_token(0, 0, Q[i], K[i], V[i], K_rot[i])
-    assert bulk.sealed_count(0, 0) == stream.sealed_count(0, 0)
-    assert bulk.recent_len(0, 0) == stream.recent_len(0, 0) == 3
-    for cid in range(2):
-        np.testing.assert_array_equal(bulk._slabs[0][0][cid].k, stream._slabs[0][0][cid].k)
-        np.testing.assert_allclose(
-            bulk.layer_reprs(0)[0][cid], stream.layer_reprs(0)[0][cid]
-        )
-    for a, b in zip(
-        (bulk._recent_q, bulk._recent_k, bulk._recent_v, bulk._recent_kr),
-        (stream._recent_q, stream._recent_k, stream._recent_v, stream._recent_kr),
-    ):
-        np.testing.assert_array_equal(np.array(a[0][0]), np.array(b[0][0]))
+    Q, K, V, K_rot = (rng.normal(size=(H, n, d)) for _ in range(4))
+    budget = 2 * l if residency == "budget" else None
+    bulk = make_store(l=l, d=d, heads=H, residency=residency, budget=budget)
+    for head in range(H):
+        sealed = bulk.bulk_append(0, head, Q[head], K[head], V[head], K_rot[head])
+        assert sealed == list(range(chunks))
+    stream = make_store(l=l, d=d, heads=H, residency=residency, budget=budget)
+    # one head per layer: each token goes to one head after another
+    per_head = make_store(l=l, d=d, layers=H, residency=residency, budget=budget)
+    for i in range(n):
+        stream.append_token(0, Q[:, i], K[:, i], V[:, i], K_rot[:, i])
+        for head in range(H):
+            per_head.append_token(head, *(a[head : head + 1, i] for a in (Q, K, V, K_rot)))
+    assert bulk.recent_len(0) == stream.recent_len(0) == l - 1
+    np.testing.assert_array_equal(bulk.layer_reprs(0), stream.layer_reprs(0))
+    for head in range(H):
+        np.testing.assert_array_equal(per_head.layer_reprs(head)[0], stream.layer_reprs(0)[head])
+        assert bulk.sealed_count(0, head) == stream.sealed_count(0, head) == chunks
+        flags = bulk.residency_flags(0, head)
+        assert flags == stream.residency_flags(0, head) == per_head.residency_flags(head, 0)
+        for a, b in zip(bulk._slabs[0][head], stream._slabs[0][head]):
+            for x, y in zip(_slab_rows(a), _slab_rows(b)):
+                np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(
+        bulk._recent[0][:, :, : l - 1], stream._recent[0][:, :, : l - 1]
+    )
+    assert bulk.hot_tokens() == stream.hot_tokens() == per_head.hot_tokens()
+    # a seal samples the peak as per-head appends do: head h's slab is
+    # installed while its l rows count and the later heads hold l - 1
+    assert stream.peak_hot_tokens == per_head.peak_hot_tokens
+    # a bulk install never counts its chunk's rows as recent
+    assert bulk.peak_hot_tokens <= stream.peak_hot_tokens
 
 
 def test_gather_row_counts_and_order():
@@ -60,15 +86,15 @@ def test_gather_row_counts_and_order():
     fill_chunks(store, 10, d=4)
     rng = np.random.default_rng(2)
     for _ in range(32):
-        store.append_token(0, 0, *rng.normal(size=(4, 4)))
+        store.append_token(0, *rng.normal(size=(4, 1, 4)))
     K, V = store.gather(0, [[0, 6, 7, 9]])
     assert K.shape == V.shape == (1, 4 * 256 + 32, 4)
     # ascending order by original chunk, recent rows last
     for j, cid in enumerate([0, 6, 7, 9]):
         np.testing.assert_array_equal(K[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].k)
         np.testing.assert_array_equal(V[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].v)
-    np.testing.assert_array_equal(K[0, 4 * 256 :], np.array(store._recent_kr[0][0]))
-    np.testing.assert_array_equal(V[0, 4 * 256 :], np.array(store._recent_v[0][0]))
+    np.testing.assert_array_equal(K[0, 4 * 256 :], store._recent[0][3, 0, :32])
+    np.testing.assert_array_equal(V[0, 4 * 256 :], store._recent[0][2, 0, :32])
 
 
 def test_gather_rejects_unknown_and_unordered():
@@ -98,9 +124,11 @@ def test_gather_stacks_heads_and_rejects_uneven_heads():
     # no chunk and no recent row: empty blocks, not an error
     K, V = store.gather(0, np.zeros((2, 0), dtype=np.int64))
     assert K.shape == V.shape == (2, 0, 4)
-    store.append_token(0, 0, *np.ones((4, 4)))
+    store.bulk_append(0, 0, *np.ones((4, 1, 4)))
     with pytest.raises(ValueError, match="different numbers of recent rows"):
         store.gather(0, [[0], [0]])
+    with pytest.raises(ValueError, match="different numbers of recent rows"):
+        store.append_token(0, *np.ones((4, 2, 4)))
 
 
 def test_all_hot_loads_nothing():
@@ -193,7 +221,7 @@ def test_representation_exists_iff_sealed():
     store = make_store(l=4)
     rng = np.random.default_rng(3)
     for i in range(6):
-        store.append_token(0, 0, *rng.normal(size=(4, 4)))
+        store.append_token(0, *rng.normal(size=(4, 1, 4)))
     assert store.sealed_count(0, 0) == 1
     assert len(store.layer_reprs(0)[0]) == 1
     assert store.layer_reprs(0)[0].shape == (1, 4)
@@ -250,10 +278,9 @@ def test_hot_level_counter_matches_recount(ops, mode, seed):
     for op in ops:
         kind = op[0]
         if kind == "append":
-            for head in range(2):
-                store.append_token(op[1], head, *rng.normal(size=(4, 4)))
+            store.append_token(op[1], *rng.normal(size=(4, 2, 4)))
         elif kind == "bulk":
-            if store.recent_len(op[1], 0):
+            if store.recent_len(op[1]):
                 continue
             for head in range(2):
                 store.bulk_append(op[1], head, *rng.normal(size=(4, op[2], 4)))

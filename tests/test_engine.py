@@ -276,10 +276,10 @@ def test_encode_uses_store_sealing(tiny_model):
     engine = make_engine(tiny_model, l=32, k=4)
     engine.encode(random_tokens(100))
     assert engine.store.sealed_count(0, 0) == 3
-    assert engine.store.recent_len(0, 0) == 4
+    assert engine.store.recent_len(0) == 4
     engine.generate(28)
     assert engine.store.sealed_count(0, 0) == 4
-    assert engine.store.recent_len(0, 0) == 0
+    assert engine.store.recent_len(0) == 0
 
 
 def test_rotary_counter_ignores_other_users_of_the_model(tiny_config):
@@ -419,9 +419,10 @@ def test_sealed_slabs_hold_keys_rotated_by_their_offset(tiny_model, residency, b
         appended[layer, head].extend(zip(Q, K, V))
         return bulk_append(layer, head, Q, K, V, K_rot)
 
-    def recording_token(layer, head, q, k, v, k_rot):
-        appended[layer, head].append((q, k, v))
-        return append_token(layer, head, q, k, v, k_rot)
+    def recording_token(layer, q, k, v, k_rot):
+        for head in range(H):
+            appended[layer, head].append((q[head], k[head], v[head]))
+        return append_token(layer, q, k, v, k_rot)
 
     store.bulk_append, store.append_token = recording_bulk, recording_token
     engine.encode(random_tokens(n))
@@ -435,7 +436,7 @@ def test_sealed_slabs_hold_keys_rotated_by_their_offset(tiny_model, residency, b
             np.testing.assert_array_equal(v_slab, V[cid])
         # summaries stay position-free: built from the unrotated rows
         np.testing.assert_array_equal(
-            store.layer_reprs(layer)[head], cache_module.build_chunk_repr(layer, head, 0, Q, K, V)
+            store.layer_reprs(layer)[head], cache_module.build_chunk_repr(0, Q, K, V)
         )
 
 
@@ -519,7 +520,7 @@ def test_failed_decode_step_leaves_engine_unusable(tiny_config):
     with pytest.raises(FloatingPointError):
         engine.generate(3)
     # layer 0 stored step 102's K/V before layer 1 failed: the store is ahead
-    assert engine.store.recent_len(0, 0) == engine.store.recent_len(1, 0) + 1
+    assert engine.store.recent_len(0) == engine.store.recent_len(1) + 1
     assert engine.layout.n == 102
     with pytest.raises(RuntimeError, match="decode step 102"):
         engine.generate(1)
@@ -554,9 +555,9 @@ def test_encode_builds_chunk_reprs_once_per_layer_and_head(tiny_model, monkeypat
 
     batches = []
 
-    def recording(layer, head, first, Q, K, V):
-        batches.append((layer, head, first, Q.shape))
-        return build_chunk_repr(layer, head, first, Q, K, V)
+    def recording(first, Q, K, V):
+        batches.append((first, Q.shape))
+        return build_chunk_repr(first, Q, K, V)
 
     build_chunk_repr = cache_module.build_chunk_repr
     monkeypatch.setattr(cache_module, "build_chunk_repr", recording)
@@ -564,12 +565,23 @@ def test_encode_builds_chunk_reprs_once_per_layer_and_head(tiny_model, monkeypat
     l, n = 16, 9 * 16 + 13
     engine = make_engine(tiny_model, l=l, k=4)
     engine.encode(random_tokens(n))
-    units = [(layer, head) for layer in range(L) for head in range(H)]
     # one batch holds every complete chunk of one (layer, head)
-    assert sorted(batches) == [(layer, head, 0, (9, l, d)) for layer, head in units]
-    batches.clear()
-    engine.generate(3)  # the third token seals chunk 9 on every (layer, head)
-    assert sorted(batches) == [(layer, head, 9, (1, l, d)) for layer, head in units]
+    assert batches == [(0, (9, l, d))] * (L * H)
+    appends = []
+    append_token = engine.store.append_token
+
+    def counting_append(layer, *rows):
+        appends.append(layer)
+        return append_token(layer, *rows)
+
+    engine.store.append_token = counting_append
+    for step in range(3):  # the third token seals chunk 9 on every (layer, head)
+        batches.clear()
+        appends.clear()
+        engine.generate(1)
+        # each layer appends once for all heads, and seals them in one batch
+        assert appends == list(range(L))
+        assert batches == ([(9, (H, 1, l, d))] * L if step == 2 else [])
 
 
 def test_engines_sharing_a_model_run_as_if_alone(tiny_config, tmp_path):

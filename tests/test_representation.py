@@ -126,22 +126,22 @@ def per_chunk(Q, K, V):
 def test_batched_variants_match_per_chunk():
     rng = np.random.default_rng(7)
     Q, K, V = (rng.normal(size=(3, 5, 4)) for _ in range(3))
-    assert np.array_equal(build_chunk_repr(0, 0, 0, Q, K, V), per_chunk(Q, K, V))
+    assert np.array_equal(build_chunk_repr(0, Q, K, V), per_chunk(Q, K, V))
 
 
 @pytest.mark.parametrize("l", [1, 16, 64])
 def test_build_chunk_repr_is_bit_equal_to_one_chunk_at_a_time(l):
     rng = np.random.default_rng(l)
     Q, K, V = (rng.normal(size=(40, l, 16)) for _ in range(3))
-    batched = build_chunk_repr(1, 2, 0, Q, K, V)
+    batched = build_chunk_repr(0, Q, K, V)
     assert batched.shape == (40, 16)
     assert np.array_equal(batched, per_chunk(Q, K, V))
     # a batch of one, as sealed at decode time, gives the same rows
     for i in (0, 17, 39):
-        one = build_chunk_repr(1, 2, i, Q[i : i + 1], K[i : i + 1], V[i : i + 1])
+        one = build_chunk_repr(i, Q[i : i + 1], K[i : i + 1], V[i : i + 1])
         assert np.array_equal(one[0], batched[i])
     # a leading head axis, as the passkey harness passes, gives each head's rows
-    heads = build_chunk_repr(0, 0, 0, *(np.stack([a, a[::-1]]) for a in (Q, K, V)))
+    heads = build_chunk_repr(0, *(np.stack([a, a[::-1]]) for a in (Q, K, V)))
     assert np.array_equal(heads[0], batched)
     assert np.array_equal(heads[1], batched[::-1])
 
@@ -152,11 +152,11 @@ def test_build_chunk_repr_names_the_non_finite_chunk():
     K[4, 2, 1] = np.inf
     # the batch starts at chunk 10, so its row 4 is chunk 14
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="chunk 14$"):
-        build_chunk_repr(0, 0, 10, Q, K, V)
+        build_chunk_repr(10, Q, K, V)
     # with a leading head axis, the chunk is named by its index within the head
     stacked = [np.stack([np.zeros_like(a), a]) for a in (Q, K, V)]
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="chunk 14$"):
-        build_chunk_repr(0, 0, 10, *stacked)
+        build_chunk_repr(10, *stacked)
 
 
 @settings(max_examples=30, deadline=None)

@@ -29,6 +29,13 @@ from .remapping import remap
 from .selection import rank_top, select
 from .trace import SelectionTrace
 
+# An encode block reads each chunk it selected once, instead of a copy of
+# each token's selected rows, when that copy would hold at least this many
+# rows (l_c * k' * l). Smaller copies cost less than the zero-padded
+# (chunks, l_c) query and weight blocks of the distinct form; CHANGES.md
+# holds the per-block timings at l = 16, 32 and 64.
+DISTINCT_MIN_ROWS = 8192
+
 
 @dataclass
 class StepCounters:
@@ -148,8 +155,11 @@ class Engine:
         stored so. A token j of a chunk that selected n_sel chunks sits at
         n_sel*l + j and its slot s at s*l + r, so its query is rotated once
         per slot, to (n_sel - s)*l + j, since R(a)q . R(b)k = R(a - c)q .
-        R(b - c)k. Attention runs one chunk and one head at a time, so only
-        that head's selected rows are gathered at once.
+        R(b - c)k. Attention runs one chunk and one head at a time. A block
+        whose per-token copy of its selected rows, l_c * k' * l, reaches
+        DISTINCT_MIN_ROWS passes each distinct chunk it selected once, with
+        every slot's row among them; a smaller block copies each token's
+        selected rows.
         """
         l = self.config.chunk_size
         H, d = self.model.config.n_heads, self.model.config.d_head
@@ -182,14 +192,19 @@ class Engine:
             q_rot = rope.apply(np.tile(Q[:, start:end], (1, n_sel + 1, 1)), at)
             q_rot = q_rot.reshape(H, n_sel + 1, l_c, d)
             q_sel = q_rot[:, :n_sel].transpose(0, 2, 1, 3)
+            distinct = l_c * n_sel * l >= DISTINCT_MIN_ROWS
             for head in range(H):
-                # Rebound one at a time, so at most one array more than these
-                # two is live, and the freed one is reused, not refaulted.
-                k_sel = k_chunks[head, ids[head]]
-                v_sel = v_chunks[head, ids[head]]
+                if distinct:
+                    present = np.zeros(k_chunks.shape[1], dtype=bool)
+                    present[ids[head]] = True
+                    chunks = np.flatnonzero(present)
+                    slot_of = (np.cumsum(present) - 1)[ids[head]]
+                    sel = (q_sel[head], k_chunks[head, chunks], v_chunks[head, chunks], slot_of)
+                else:
+                    sel = (q_sel[head], k_chunks[head, ids[head]], v_chunks[head, ids[head]])
                 attn[head, start:end] = attend(
                     q_rot[head, n_sel], K_rot[head, start:end], V[head, start:end],
-                    mask[:l_c, :l_c], sel=(q_sel[head], k_sel, v_sel),
+                    mask[:l_c, :l_c], sel=sel,
                 )
         return attn
 

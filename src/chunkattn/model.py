@@ -51,21 +51,55 @@ def attend(
     k_sel, v_sel (..., t, S, l, d) the slot rows. Both blocks share one
     softmax, normalised before the V products, so S = 0 gives exactly
     the result without `sel`.
+
+    `sel = (q_sel, k_distinct, v_distinct, slot_of)` is the same sum with
+    the slot rows stored once per distinct chunk: k_distinct, v_distinct
+    (..., U, l, d) and slot_of (..., t, S) the row of U each slot reads. A
+    query reads each chunk at most once. Every distinct chunk is scored
+    against all t queries in one batched product and the weights are
+    scattered into (..., t, U*l) for one V product, so no row is copied
+    per query.
     """
-    scores = (q @ k.swapaxes(-1, -2)) / np.sqrt(q.shape[-1])
+    scale = np.sqrt(q.shape[-1])
+    scores = (q @ k.swapaxes(-1, -2)) / scale
     if mask is not None:
         scores = scores + mask
     if sel is None:
         return softmax(scores) @ v
-    q_sel, k_sel, v_sel = sel
-    s_sel = (q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)) / np.sqrt(q.shape[-1])
-    s_sel = s_sel.reshape(scores.shape[:-1] + (-1,))
+    q_sel, k_sel, v_sel = sel[:3]
+    if len(sel) == 4:
+        at_q, at_w = _distinct_index(sel[3])
+        lead, (t, _, d) = q_sel.shape[:-3], q_sel.shape[-3:]
+        q_blk = np.zeros(lead + (k_sel.shape[-3], t, d))
+        q_blk[at_q] = q_sel
+        s_sel = (q_blk @ k_sel.swapaxes(-1, -2))[at_q]
+    else:
+        s_sel = q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)
+    s_sel = (s_sel / scale).reshape(scores.shape[:-1] + (-1,))
     top = np.maximum(scores.max(-1, keepdims=True), s_sel.max(-1, keepdims=True, initial=-np.inf))
     w = np.exp(scores - top)
     w_sel = np.exp(s_sel - top)
     total = w.sum(-1, keepdims=True) + w_sel.sum(-1, keepdims=True)
+    out = (w / total) @ v
+    if len(sel) == 4:
+        u, l = v_sel.shape[-3:-1]
+        w_blk = np.zeros(lead + (t, u, l))
+        w_blk[at_w] = (w_sel / total).reshape(sel[3].shape + (l,))
+        return out + w_blk.reshape(lead + (t, u * l)) @ v_sel.reshape(lead + (u * l, d))
     rows = v_sel.reshape(w_sel.shape + v_sel.shape[-1:])
-    return (w / total) @ v + ((w_sel / total)[..., None, :] @ rows)[..., 0, :]
+    return out + ((w_sel / total)[..., None, :] @ rows)[..., 0, :]
+
+
+def _distinct_index(slot_of: np.ndarray):
+    """Index tuples that address, for every slot (..., j, s), row
+    slot_of[..., j, s] of a (..., U, t, ·) block and of a (..., t, U, ·)
+    block at query j."""
+    lead = tuple(
+        np.arange(n).reshape((n,) + (1,) * (slot_of.ndim - 1 - axis))
+        for axis, n in enumerate(slot_of.shape[:-2])
+    )
+    query = np.arange(slot_of.shape[-2])[:, None]
+    return lead + (slot_of, query), lead + (query, slot_of)
 
 
 def rotate_half(x: np.ndarray) -> np.ndarray:

@@ -628,3 +628,80 @@ def test_engines_sharing_a_model_run_as_if_alone(tiny_config, tmp_path):
             step(runs[name])
     for name in specs:
         assert outputs(runs[name], tmp_path / f"{name}-shared.json") == alone[name]
+
+
+@pytest.fixture(scope="module")
+def wide_model():
+    # room for k = 8 chunks of l = 64 plus the own chunk in the rotary table
+    return build_model(ModelConfig.create(
+        n_layers=2, n_heads=4, d_head=8, vocab_size=64, pretrain_length=1024, seed=7))
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_encode_layouts_agree_for_every_policy(wide_model, policy, monkeypatch, tmp_path):
+    import chunkattn.engine as engine_module
+
+    l, k, n, steps = 64, 8, 11 * 64 + 9, 60  # decode crosses the seal at 768
+
+    def run(distinct_min_rows):
+        monkeypatch.setattr(engine_module, "DISTINCT_MIN_ROWS", distinct_min_rows)
+        engine = make_engine(wide_model, l=l, k=k, policy=policy, residency="budget",
+                             budget=(k + 1) * l)
+        logits = engine.encode(random_tokens(n))
+        tokens = engine.generate(steps).tokens
+        path = tmp_path / f"trace-{distinct_min_rows}.json"
+        engine.trace.to_json(path)
+        ints = (tokens, path.read_bytes(), engine.counters_dict(), engine.store.peak_hot_tokens)
+        return ints, logits, engine.last_logits
+
+    every_block, no_block = run(0), run(10**12)
+    assert every_block[0] == no_block[0]
+    for a, b in zip(every_block[1:], no_block[1:]):
+        assert np.abs(a - b).max() < 1e-12
+
+
+@pytest.mark.parametrize("l", [16, 64])
+def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monkeypatch):
+    import chunkattn.engine as engine_module
+
+    calls = []
+
+    def spying(q, k, v, mask=None, sel=None):
+        calls.append(sel)
+        return attend(q, k, v, mask, sel)
+
+    attend = engine_module.attend
+    monkeypatch.setattr(engine_module, "attend", spying)
+    L, H, d = wide_model.config.n_layers, wide_model.config.n_heads, wide_model.config.d_head
+    k, n = 8, 11 * l + 9
+    engine = make_engine(wide_model, l=l, k=k)
+    engine.encode(random_tokens(n))
+    trace, slabs = engine.trace, engine.store._slabs
+    sels = iter(calls)
+    distinct_blocks = set()
+    for layer in range(L):
+        for start in range(0, n, l):
+            for head in range(H):
+                sel = next(sels)
+                rows = (trace.layer == layer) & (trace.head == head) & (trace.step >= start) & (
+                    trace.step < start + l)
+                l_c, n_sel = int(rows.sum()), int(trace.width[rows][0])
+                ids = trace.chunk_ids[rows][:, :n_sel]
+                if l_c * n_sel * l < engine_module.DISTINCT_MIN_ROWS:
+                    assert len(sel) == 3
+                    continue
+                distinct_blocks.add((l_c, n_sel))
+                # one row per distinct chunk of the (block, head), in id order
+                chunks = np.unique(ids)
+                k_distinct, v_distinct, slot_of = sel[1:]
+                assert k_distinct.shape == v_distinct.shape == (chunks.size, l, d)
+                np.testing.assert_array_equal(chunks[slot_of], ids)
+                np.testing.assert_array_equal(k_distinct, [slabs[layer][head][c].k for c in chunks])
+                np.testing.assert_array_equal(v_distinct, [slabs[layer][head][c].v for c in chunks])
+    assert next(sels, None) is None
+    # full l = 64 blocks of k' = 8 take the distinct layout; no l = 16 block does
+    assert ((l, k) in distinct_blocks) == (l == 64)
+    for _ in range(3):
+        calls.clear()
+        engine.generate(1)
+        assert [len(sel) for sel in calls] == [3] * L

@@ -171,23 +171,65 @@ def test_attend_without_slots_is_the_plain_formula():
             # zero slots normalise the same weights the same way
             empty = (np.zeros((t, 0, d)), np.zeros((t, 0, 5, d)), np.zeros((t, 0, 5, d)))
             np.testing.assert_array_equal(attend(q, k, v, mask, empty), expected)
+            no_chunks = (np.zeros((t, 0, d)), np.zeros((0, 5, d)), np.zeros((0, 5, d)),
+                         np.zeros((t, 0), dtype=np.intp))
+            np.testing.assert_array_equal(attend(q, k, v, mask, no_chunks), expected)
+
+
+def slot_layouts(rng, lead, t, S, l, d, repeats):
+    """Per-slot and distinct `sel` layouts of the same chunks. Each of the t
+    queries reads S different chunks, picked from S + 1 chunks (heavy
+    repeats) or from t*S (each read once); the distinct rows are the union
+    of the chunks any leading index reads."""
+    C = S + 1 if repeats else t * S
+    chunks_k, chunks_v = rng.normal(size=(2,) + lead + (C, l, d)) * 3
+    if repeats:
+        ids = rng.random(lead + (t, C)).argsort(-1)[..., :S]
+    else:
+        ids = rng.random(lead + (C,)).argsort(-1).reshape(lead + (t, S))
+    ids = np.sort(ids, axis=-1)
+    at = tuple(np.arange(n).reshape((n, 1, 1)) for n in lead)
+    q_sel = rng.normal(size=lead + (t, S, d))
+    per_slot = (q_sel, chunks_k[at + (ids,)], chunks_v[at + (ids,)])
+    present = np.zeros(C, dtype=bool)
+    present[ids] = True
+    rows = np.flatnonzero(present)
+    distinct = (q_sel, chunks_k[..., rows, :, :], chunks_v[..., rows, :, :], (np.cumsum(present) - 1)[ids])
+    return per_slot, distinct
 
 
 def test_attend_with_slots_matches_one_concatenated_softmax():
     rng = np.random.default_rng(6)
-    for _ in range(40):
-        H, t, n, S, l = (int(x) for x in rng.integers(1, 6, size=5))
-        d = int(rng.choice([4, 8, 16]))
-        n = max(n, t)
-        q, k, v = rng.normal(size=(H, t, d)), rng.normal(size=(H, n, d)), rng.normal(size=(H, n, d))
-        S = S - 1  # 0..4 slots
-        q_sel = rng.normal(size=(H, t, S, d))
-        k_sel, v_sel = rng.normal(size=(2, H, t, S, l, d)) * 3
-        mask = causal_mask(t, n, offset=n - t) if rng.random() < 0.5 else None
-        out = attend(q, k, v, mask, (q_sel, k_sel, v_sel))
-        s_sel = np.einsum("htsd,htsrd->htsr", q_sel, k_sel).reshape(H, t, S * l)
-        s_own = np.einsum("htd,hnd->htn", q, k) + (0.0 if mask is None else mask)
+    l = 8
+    drawn = [
+        (tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 2))),
+         int(rng.integers(1, 9)), int(rng.integers(0, 5)), int(rng.integers(1, 6)),
+         int(rng.integers(0, 5)), int(rng.choice([4, 8, 16])), bool(rng.random() < 0.5))
+        for _ in range(40)
+    ]
+    grid = [
+        (lead, t, S, l, extra, 8, repeats)
+        for lead in ((), (3,))
+        for t in (1, 5, l)
+        for S in (1, 4)
+        for extra in (0, 2 * l)
+        for repeats in (True, False)
+    ]
+    for lead, t, S, l_sel, extra, d, repeats in drawn + grid:
+        n = t + extra
+        q = rng.normal(size=lead + (t, d))
+        k, v = rng.normal(size=(2,) + lead + (n, d))
+        mask = causal_mask(t, n, offset=n - t) if extra or rng.random() < 0.5 else None
+        per_slot, distinct = slot_layouts(rng, lead, t, S, l_sel, d, repeats)
+        out = attend(q, k, v, mask, per_slot)
+        q_sel, k_sel, v_sel = per_slot
+        s_sel = np.einsum("...tsd,...tsrd->...tsr", q_sel, k_sel).reshape(lead + (t, S * l_sel))
+        s_own = np.einsum("...td,...nd->...tn", q, k) + (0.0 if mask is None else mask)
         w = softmax(np.concatenate([s_sel, s_own], axis=-1) / np.sqrt(d))
-        rows = np.concatenate([v_sel.reshape(H, t, S * l, d), np.broadcast_to(v[:, None], (H, t, n, d))], axis=2)
-        expected = np.einsum("htr,htrd->htd", w, rows)
+        own = np.broadcast_to(v[..., None, :, :], lead + (t, n, d))
+        rows = np.concatenate([v_sel.reshape(lead + (t, S * l_sel, d)), own], axis=-2)
+        expected = np.einsum("...tr,...trd->...td", w, rows)
         assert np.abs(out - expected).max() < 1e-13
+        # the same chunks read once per distinct chunk
+        from_distinct = attend(q, k, v, mask, distinct)
+        assert np.abs(from_distinct - out).max() <= 1e-12 * np.abs(out).max()

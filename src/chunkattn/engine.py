@@ -155,11 +155,12 @@ class Engine:
         stored so. A token j of a chunk that selected n_sel chunks sits at
         n_sel*l + j and its slot s at s*l + r, so its query is rotated once
         per slot, to (n_sel - s)*l + j, since R(a)q . R(b)k = R(a - c)q .
-        R(b - c)k. Attention runs one chunk and one head at a time. A block
-        whose per-token copy of its selected rows, l_c * k' * l, reaches
-        DISTINCT_MIN_ROWS passes each distinct chunk it selected once, with
-        every slot's row among them; a smaller block copies each token's
-        selected rows.
+        R(b - c)k. Attention runs one chunk at a time. A block whose
+        per-token copy of its selected rows, l_c * k' * l, stays below
+        DISTINCT_MIN_ROWS copies each token's selected rows for every head
+        and attends all heads in one call. A larger block attends one head
+        at a time and passes each distinct chunk that head selected once,
+        with every slot's row among them.
         """
         l = self.config.chunk_size
         H, d = self.model.config.n_heads, self.model.config.d_head
@@ -185,6 +186,7 @@ class Engine:
         k_chunks = K_rot[:, :n_full].reshape(H, -1, l, d)
         v_chunks = V[:, :n_full].reshape(H, -1, l, d)
         mask = causal_mask(l, l)
+        heads = np.arange(H)[:, None, None]
         attn = np.empty_like(Q)
         for (start, end), ids in zip(bounds, block_ids):
             l_c, n_sel = end - start, ids.shape[-1]
@@ -192,16 +194,19 @@ class Engine:
             q_rot = rope.apply(np.tile(Q[:, start:end], (1, n_sel + 1, 1)), at)
             q_rot = q_rot.reshape(H, n_sel + 1, l_c, d)
             q_sel = q_rot[:, :n_sel].transpose(0, 2, 1, 3)
-            distinct = l_c * n_sel * l >= DISTINCT_MIN_ROWS
+            if l_c * n_sel * l < DISTINCT_MIN_ROWS:
+                sel = (q_sel, k_chunks[heads, ids], v_chunks[heads, ids])
+                attn[:, start:end] = attend(
+                    q_rot[:, n_sel], K_rot[:, start:end], V[:, start:end],
+                    mask[:l_c, :l_c], sel=sel,
+                )
+                continue
             for head in range(H):
-                if distinct:
-                    present = np.zeros(k_chunks.shape[1], dtype=bool)
-                    present[ids[head]] = True
-                    chunks = np.flatnonzero(present)
-                    slot_of = (np.cumsum(present) - 1)[ids[head]]
-                    sel = (q_sel[head], k_chunks[head, chunks], v_chunks[head, chunks], slot_of)
-                else:
-                    sel = (q_sel[head], k_chunks[head, ids[head]], v_chunks[head, ids[head]])
+                present = np.zeros(k_chunks.shape[1], dtype=bool)
+                present[ids[head]] = True
+                chunks = np.flatnonzero(present)
+                slot_of = (np.cumsum(present) - 1)[ids[head]]
+                sel = (q_sel[head], k_chunks[head, chunks], v_chunks[head, chunks], slot_of)
                 attn[head, start:end] = attend(
                     q_rot[head, n_sel], K_rot[head, start:end], V[head, start:end],
                     mask[:l_c, :l_c], sel=sel,
@@ -254,7 +259,7 @@ class Engine:
                 # Laid out token-major, as the trace keeps its rows, so the
                 # trace holds this array and not a copy of it.
                 out = np.empty((l_c, H, cand_ids.size)).transpose(1, 0, 2)
-            scores = np.einsum("htd,hcd->htc", q_blk, reprs[:, 1 : c - 1], out=out)
+            scores = np.matmul(q_blk, reprs[:, 1 : c - 1].swapaxes(-1, -2), out=out)
         if reuse:
             return self._layer0_encode_ids[c], scores
 

@@ -32,22 +32,18 @@ def chunk_query(Q: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
     return out.mean(axis=0)
 
 
-def chunk_representation(q_c: np.ndarray, K: np.ndarray, return_weights: bool = False):
+def chunk_representation(q_c: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Attention-weighted average of key rows, probed by the chunk query.
 
     The keys serve as both keys and values, so the result is a convex
-    combination of the chunk's key rows. With return_weights=True the
-    softmax weights are returned alongside, for diagnostics.
+    combination of the chunk's key rows.
     """
     K = _check_chunk_states("K", K)
     q_c = np.asarray(q_c, dtype=np.float64)
     if q_c.shape != (K.shape[1],):
         raise ValueError(f"q_c shape {q_c.shape} does not match key dimension {K.shape[1]}")
     weights = softmax((K @ q_c) / np.sqrt(K.shape[1]))
-    c = weights @ K
-    if return_weights:
-        return c, weights
-    return c
+    return weights @ K
 
 
 def build_chunk_repr(first: int, Q, K, V) -> np.ndarray:

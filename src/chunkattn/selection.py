@@ -6,8 +6,8 @@ ablation). The remaining budget goes to the candidates with the highest
 dot-product score against the query, or to the ablation variant's picks.
 
 Every head of a layer is routed in one call: candidates arrive as one
-(H, C, d) slice of the layer's representation matrices, each head is
-scored with one matmul, and one `rank_top` call ranks every head's scores.
+(H, C, d) slice of the layer's representation matrices, one batched
+matmul scores every head and one `rank_top` call ranks all the scores.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ def select(
     `query` is (H, d); `candidates` is an (H, C, d) stack of chunk
     representations whose row i is chunk first + 1 + i. It must exclude
     `first` and `last`, which are kept unconditionally (policy permitting).
-    Each head is scored with its own `matrix @ query`. The random policy
-    draws head h's picks from `rngs[h]`. Under fix-head and
+    One batched matmul scores each head h against its own query[h]. The
+    random policy draws head h's picks from `rngs[h]`. Under fix-head and
     fix-head-and-layer every head takes head 0's selection; sharing across
     layers is left to the caller, which holds layer 0's ids.
 
@@ -97,8 +97,7 @@ def select(
                 f"candidates must exclude the mandatory chunks, got ids "
                 f"{first + 1}..{first + count} with last={last}"
             )
-        for head in range(heads):
-            scores[head] = candidates[head] @ query[head]
+        scores = np.matmul(candidates, query[:, :, None])[..., 0]
 
     base = policy if policy not in CONSTRAINT_POLICIES else "top-k"
     if base == "no-first":

@@ -272,6 +272,51 @@ def test_record_scores_with_layer_sharing(tiny_model):
         assert rec.scores != ref.scores
 
 
+@pytest.mark.parametrize("policy", ["top-k", "no-first"])
+def test_recorded_encode_scores_match_per_head_products(tiny_model, policy):
+    # Each encode block is scored by one batched product straight into the
+    # array the trace keeps. Every row must match its head's own
+    # reprs[h, 1:c-1] @ q, and wherever the reference has no near tie at the
+    # cut, the block must pick the reference's top chunks.
+    from chunkattn.selection import rank_top
+
+    l, k, n = 8, 4, 8 * 90 + 5  # up to 87 candidates: both rank_top branches
+    H = tiny_model.config.n_heads
+    engine = make_engine(tiny_model, l=l, k=k, policy=policy, record_scores=True)
+    select_ids, blocks = engine._encode_selection_ids, []
+
+    def keeping(layer, c, l_c, token0, reprs, q_blk):
+        ids, scores = select_ids(layer, c, l_c, token0, reprs, q_blk)
+        blocks.append((layer, c, token0, q_blk, reprs[:, 1 : c - 1].copy(), ids, scores))
+        return ids, scores
+
+    engine._encode_selection_ids = keeping
+    engine.encode(random_tokens(n))
+    held = dict(engine.trace.score_blocks)
+    assert len(blocks) == 2 * (n // l)
+    checked = total = 0
+    for layer, c, token0, q_blk, cands, ids, scores in blocks:
+        l_c, C = q_blk.shape[1], max(c - 2, 0)
+        ref = np.array([[cands[h] @ q for q in q_blk[h]] for h in range(H)]).reshape(H, l_c, C)
+        assert scores.shape == (H, l_c, C)
+        assert np.abs(scores - ref).max(initial=0.0) <= 1e-12
+        kept = held[(layer * n + token0) * H]
+        np.testing.assert_array_equal(kept, scores.transpose(1, 0, 2).reshape(l_c * H, C))
+        assert C == 0 or np.shares_memory(kept, scores)
+        mandatory = [c - 1] if policy == "no-first" else sorted({0, c - 1})
+        take = min(k - len(mandatory), C)
+        picked = np.arange(1, c - 1)[rank_top(ref, take)]
+        expected = np.sort(np.concatenate(
+            [picked, np.broadcast_to(mandatory, (H, l_c, len(mandatory)))], axis=-1), axis=-1)
+        ranked = -np.sort(-ref, axis=-1)
+        margin = (ranked[..., take - 1] - ranked[..., take] if 0 < take < C
+                  else np.full((H, l_c), np.inf))
+        clear = margin > 1e-9
+        np.testing.assert_array_equal(ids[clear], expected[clear])
+        checked, total = checked + clear.sum(), total + clear.size
+    assert checked > 0.99 * total
+
+
 def test_encode_uses_store_sealing(tiny_model):
     engine = make_engine(tiny_model, l=32, k=4)
     engine.encode(random_tokens(100))
@@ -667,7 +712,7 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
     calls = []
 
     def spying(q, k, v, mask=None, sel=None):
-        calls.append(sel)
+        calls.append((q.shape, sel))
         return attend(q, k, v, mask, sel)
 
     attend = engine_module.attend
@@ -675,33 +720,56 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
     L, H, d = wide_model.config.n_layers, wide_model.config.n_heads, wide_model.config.d_head
     k, n = 8, 11 * l + 9
     engine = make_engine(wide_model, l=l, k=k)
+    encode_layer = engine._encode_layer
+    layer_calls = []
+
+    def counting(layer, *args):
+        before = len(calls)
+        out = encode_layer(layer, *args)
+        layer_calls.append(len(calls) - before)
+        return out
+
+    engine._encode_layer = counting
     engine.encode(random_tokens(n))
     trace, slabs = engine.trace, engine.store._slabs
     sels = iter(calls)
     distinct_blocks = set()
     for layer in range(L):
+        per_slot = distinct = 0
+        slab_k = [np.stack([slab.k for slab in slabs[layer][h]]) for h in range(H)]
+        slab_v = [np.stack([slab.v for slab in slabs[layer][h]]) for h in range(H)]
         for start in range(0, n, l):
-            for head in range(H):
-                sel = next(sels)
-                rows = (trace.layer == layer) & (trace.head == head) & (trace.step >= start) & (
-                    trace.step < start + l)
-                l_c, n_sel = int(rows.sum()), int(trace.width[rows][0])
-                ids = trace.chunk_ids[rows][:, :n_sel]
-                if l_c * n_sel * l < engine_module.DISTINCT_MIN_ROWS:
-                    assert len(sel) == 3
-                    continue
-                distinct_blocks.add((l_c, n_sel))
-                # one row per distinct chunk of the (block, head), in id order
-                chunks = np.unique(ids)
+            rows = (trace.layer == layer) & (trace.step >= start) & (trace.step < start + l)
+            l_c, n_sel = int(rows.sum()) // H, int(trace.width[rows][0])
+            ids = [trace.chunk_ids[rows & (trace.head == h)][:, :n_sel] for h in range(H)]
+            if l_c * n_sel * l < engine_module.DISTINCT_MIN_ROWS:
+                # one call for every head: each token's slot rows, per head
+                per_slot += 1
+                q_shape, sel = next(sels)
+                assert q_shape == (H, l_c, d) and len(sel) == 3
+                k_sel, v_sel = sel[1:]
+                assert k_sel.shape == v_sel.shape == (H, l_c, n_sel, l, d)
+                for h in range(H):
+                    np.testing.assert_array_equal(k_sel[h], slab_k[h][ids[h]])
+                    np.testing.assert_array_equal(v_sel[h], slab_v[h][ids[h]])
+                continue
+            distinct += 1
+            distinct_blocks.add((l_c, n_sel))
+            for h in range(H):
+                # one call per head, one row per distinct chunk, in id order
+                q_shape, sel = next(sels)
+                assert q_shape == (l_c, d) and len(sel) == 4
+                chunks = np.unique(ids[h])
                 k_distinct, v_distinct, slot_of = sel[1:]
                 assert k_distinct.shape == v_distinct.shape == (chunks.size, l, d)
-                np.testing.assert_array_equal(chunks[slot_of], ids)
-                np.testing.assert_array_equal(k_distinct, [slabs[layer][head][c].k for c in chunks])
-                np.testing.assert_array_equal(v_distinct, [slabs[layer][head][c].v for c in chunks])
+                np.testing.assert_array_equal(chunks[slot_of], ids[h])
+                np.testing.assert_array_equal(k_distinct, slab_k[h][chunks])
+                np.testing.assert_array_equal(v_distinct, slab_v[h][chunks])
+        assert layer_calls[layer] == per_slot + H * distinct
     assert next(sels, None) is None
     # full l = 64 blocks of k' = 8 take the distinct layout; no l = 16 block does
     assert ((l, k) in distinct_blocks) == (l == 64)
     for _ in range(3):
         calls.clear()
         engine.generate(1)
-        assert [len(sel) for sel in calls] == [3] * L
+        assert [len(sel) for _, sel in calls] == [3] * L

@@ -60,6 +60,14 @@ def test_chunk_query_rejects_empty_and_mismatched():
         chunk_query(np.zeros((2, 4)), np.zeros((3, 4)), np.zeros((2, 4)))
 
 
+def probe_weights(q, K):
+    """softmax(K @ q / sqrt(d)), the weights chunk_representation averages
+    the keys with, computed here without the library."""
+    logits = (K @ q) / math.sqrt(K.shape[1])
+    w = np.exp(logits - logits.max())
+    return w / w.sum()
+
+
 def test_chunk_representation_single_key():
     K = np.array([[1.0, 2.0, 3.0, 4.0]])
     np.testing.assert_allclose(chunk_representation(np.ones(4), K), K[0])
@@ -69,8 +77,9 @@ def test_chunk_representation_orthogonal_query_uniform():
     # identical keys orthogonal to the probe: weights uniform, c = the key
     K = np.tile(np.array([[1.0, 0.0, 0.0, 0.0]]), (4, 1))
     q = np.array([0.0, 1.0, 0.0, 0.0])
-    c, w = chunk_representation(q, K, return_weights=True)
+    c, w = chunk_representation(q, K), probe_weights(q, K)
     np.testing.assert_allclose(w, np.full(4, 0.25))
+    np.testing.assert_allclose(w @ K, c, atol=1e-12)
     np.testing.assert_allclose(c, K.mean(axis=0))
 
 
@@ -88,7 +97,8 @@ def test_chunk_representation_dominant_key():
     )
     logits = (K @ q) / math.sqrt(d)
     assert logits[0] - max(logits[1:]) == pytest.approx(20.0)
-    c, w = chunk_representation(q, K, return_weights=True)
+    c, w = chunk_representation(q, K), probe_weights(q, K)
+    np.testing.assert_allclose(w @ K, c, atol=1e-12)
     assert w[0] > 0.999
     assert np.max(np.abs(c - K[0])) < 1e-3
 
@@ -98,7 +108,7 @@ def test_chunk_representation_convex_hull_weights():
     for _ in range(20):
         K = rng.normal(size=(6, 8))
         q = rng.normal(size=8)
-        c, w = chunk_representation(q, K, return_weights=True)
+        c, w = chunk_representation(q, K), probe_weights(q, K)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) < 1e-6
         np.testing.assert_allclose(w @ K, c, atol=1e-12)
@@ -169,7 +179,8 @@ def test_representation_stays_in_convex_hull(rows, d, seed):
     rng = np.random.default_rng(seed)
     K = rng.normal(size=(rows, d))
     q = rng.normal(size=d)
-    c, w = chunk_representation(q, K, return_weights=True)
+    c, w = chunk_representation(q, K), probe_weights(q, K)
+    np.testing.assert_allclose(w @ K, c, atol=1e-12)
     assert np.all(w >= 0)
     assert w.sum() == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.isfinite(c))

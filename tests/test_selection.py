@@ -134,6 +134,16 @@ def test_apply_head_constraints():
         select(queries, cands, 0, 9, 3, policy="random")
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 65, 500])
+def test_scores_are_each_heads_own_product_bit_for_bit(count):
+    rng = np.random.default_rng(count)
+    queries = rng.normal(size=(4, 16))
+    cands = rng.normal(size=(4, count, 16))
+    _, scores = select(queries, cands, 0, count + 1, 8)
+    assert scores.shape == (4, count)
+    assert np.array_equal(scores, [cands[h] @ queries[h] for h in range(4)])
+
+
 def test_selection_set_requires_ascending_chunks():
     rng = np.random.default_rng(0)
     queries = rng.normal(size=(4, 3))

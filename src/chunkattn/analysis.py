@@ -114,12 +114,12 @@ def export_heatmap(trace: SelectionTrace, path) -> None:
     m = trace.meta.get("m")
     if m is None:
         raise ValueError("trace metadata lacks 'm' (total chunk count)")
-    # Number each (layer, head) by layer * span + head - lo, which sorts the
-    # units present by (layer, head), then count every valid id per unit.
-    layer, head = trace.layer, trace.head
-    lo = int(head.min(initial=0))
-    span = int(head.max(initial=0)) - lo + 1
-    units, unit_of = np.unique(layer * span + head - lo, return_inverse=True)
+    # Number each (layer, head) by layer rank * heads + head rank, which
+    # sorts the units present by (layer, head) and cannot overflow, then
+    # count every valid id per unit.
+    layers, layer_of = np.unique(trace.layer, return_inverse=True)
+    heads, head_of = np.unique(trace.head, return_inverse=True)
+    units, unit_of = np.unique(layer_of * len(heads) + head_of, return_inverse=True)
     ids = trace.chunk_ids
     keys = (unit_of.reshape(-1, 1) * m + ids)[(ids >= 0) & (ids < m)]
     cells = np.bincount(keys, minlength=units.size * m).reshape(units.size, m)
@@ -127,8 +127,9 @@ def export_heatmap(trace: SelectionTrace, path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["layer", "head"] + [f"c{i}" for i in range(m)])
-        for unit, row in zip(units.tolist(), cells.tolist()):
-            writer.writerow([unit // span, unit % span + lo] + row)
+        unit_layer, unit_head = layers[units // len(heads)], heads[units % len(heads)]
+        for la, h, row in zip(unit_layer.tolist(), unit_head.tolist(), cells.tolist()):
+            writer.writerow([la, h] + row)
     with open(path + ".meta.json", "w") as f:
         json.dump(trace.meta, f, sort_keys=True, indent=2)
         f.write("\n")

@@ -112,8 +112,7 @@ class RotaryTable:
 
     Applying at a position outside the table raises: that is exactly the
     out-of-distribution failure the engine's position remapping prevents,
-    so it must never be silently extrapolated. The table also records the
-    largest position it has ever been applied at, for instrumented runs.
+    so it must never be silently extrapolated.
     """
 
     def __init__(self, d_head: int, max_positions: int, base: float = ROPE_BASE):
@@ -127,7 +126,6 @@ class RotaryTable:
         self.sin = np.concatenate([np.sin(angles), np.sin(angles)], axis=-1)
         self.cos.flags.writeable = False
         self.sin.flags.writeable = False
-        self.max_position_applied = -1
 
     def apply(self, states: np.ndarray, positions) -> np.ndarray:
         """Rotate rows of `states` at the given positions.
@@ -154,8 +152,6 @@ class RotaryTable:
                 f"position {hi} is outside the rotary table "
                 f"(pretrain length {self.max_positions})"
             )
-        if hi > self.max_position_applied:
-            self.max_position_applied = hi
         cos = self.cos[positions]
         sin = self.sin[positions]
         return states * cos + rotate_half(states) * sin

@@ -29,6 +29,12 @@ class SelectionTrace:
     column i scores chunk i + 1. `records` rebuilds `TraceRecord` objects
     on demand.
 
+    `to_json` writes trace.json from the columns in fixed-size blocks of
+    rows, byte-identical to `json.dumps(..., sort_keys=True,
+    separators=(",", ":"))` of the per-row lists; the text of the scores
+    still comes from `json.dumps`, one call per score block and write
+    block.
+
     Single-row `append`s, one per (layer, head) in each unscored decode
     step, wait in a list and move into the columns at the next read or
     block write.
@@ -139,22 +145,15 @@ class SelectionTrace:
         view.flags.writeable = False
         return view
 
-    def _python_columns(self):
-        """Per-row (step, layer, head, chunk list) as Python objects, each
-        chunk list trimmed to its width."""
-        self._flush()
-        steps, layers, heads, widths = self._cols[: self._n].T.tolist()
-        k = self._k
-        ids = self._ids[: self._n, :k].tolist()
-        chunks = [row if w == k else row[:w] for row, w in zip(ids, widths)]
-        return steps, layers, heads, chunks
-
     @property
     def records(self) -> list:
         """The rows as `TraceRecord`s, built on each access."""
-        steps, layers, heads, chunks = self._python_columns()
+        self._flush()
+        steps, layers, heads, widths = self._cols[: self._n].T.tolist()
+        ids = self._ids[: self._n, : self._k].tolist()
         records = [
-            TraceRecord(s, la, h, tuple(c)) for s, la, h, c in zip(steps, layers, heads, chunks)
+            TraceRecord(s, la, h, tuple(c[:w]))
+            for s, la, h, w, c in zip(steps, layers, heads, widths, ids)
         ]
         for r, block in self._score_blocks:
             candidates = tuple(range(1, block.shape[1] + 1))
@@ -170,17 +169,110 @@ class SelectionTrace:
         ids = self.chunk_ids
         return np.bincount(ids[(ids >= 0) & (ids < m)], minlength=m)
 
-    def to_jsonable(self) -> dict:
-        steps, layers, heads, chunks = self._python_columns()
-        rows = [list(row) for row in zip(steps, layers, heads, chunks)]
-        for r, block in self._score_blocks:
-            candidates = list(range(1, block.shape[1] + 1))
-            for row, scores in zip(rows[r : r + len(block)], block.tolist()):
-                row += (candidates, scores)
-        return {"meta": self.meta, "records": rows}
-
     def to_json(self, path) -> None:
-        # json.dumps runs the C encoder; json.dump to a file never does.
-        text = json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
-        with open(path, "w") as f:
-            f.write(text + "\n")
+        """Write `{"meta": ..., "records": [...]}` and a newline, byte for
+        byte as `json.dumps(..., sort_keys=True, separators=(",", ":"))`
+        would, from the columns; see `_write_records`."""
+        self._flush()
+        n = self._n
+        meta = json.dumps(self.meta, sort_keys=True, separators=(",", ":"))
+        with open(path, "wb") as f:
+            f.write(b'{"meta":' + meta.encode() + b',"records":[')
+            if n:
+                _write_records(f, self._cols[:n], self._ids[:n, : self._k], self._score_blocks)
+            f.write(b"]}\n")
+
+
+# Rows per write block; bounds the writer's temporary memory.
+WRITE_BLOCK_ROWS = 1 << 14
+
+
+def _number_table(cols, ids):
+    """(index, digits): digits[index(v)] is the decimal text of integer v,
+    NUL-padded to a fixed width, for every v in the step, layer and head
+    columns and in the id matrix, padding included. The table is the
+    range of those values when that is no longer than the number of cells
+    written, else their distinct values."""
+    labels, blocks = cols[:, :3], range(0, len(cols), WRITE_BLOCK_ROWS)
+    lo = int(min(labels.min(), ids.min(initial=-1)))
+    hi = int(max(labels.max(), ids.max(initial=-1)))
+    if hi - lo < 3 * len(cols) + int(cols[:, 3].sum()):
+        values = np.arange(lo, hi + 1, dtype=np.int64)
+
+        def index(v):
+            return v - lo
+
+    else:
+        parts = [np.unique(a[b : b + WRITE_BLOCK_ROWS]) for a in (labels, ids) for b in blocks]
+        values = np.unique(np.concatenate(parts))
+
+        def index(v):
+            return np.searchsorted(values, v)
+
+    width = max(len(str(lo)), len(str(hi)))
+    return index, values.astype(f"S{width}").view(np.uint8).reshape(-1, width)
+
+
+def _write_records(f, cols, ids, score_blocks) -> None:
+    """Write the rows, comma-separated, each as `[step,layer,head,[ids]]`,
+    with `,[1..C],[scores]` before the last `]` of a scored row.
+
+    Each row of a write block is a fixed run of cells, `[`, step, layer,
+    head, `[`, one cell per id column and `]],`, taken from one table of
+    NUL-padded cell text: every number with a comma, every number bare,
+    `[`, `]],` and an all-NUL cell. JSON text never holds NUL. The last id
+    of a row is bare, and id cells at or past the row's width are NUL (the
+    width decides, not the id: -1 is a valid id). One take fills a block
+    and one boolean compress drops the NULs."""
+    index, digits = _number_table(cols, ids)
+    d, w = digits.shape
+    table = np.zeros((2 * d + 3, max(w + 1, 3)), dtype=np.uint8)
+    table[:d, :w] = table[d : 2 * d, :w] = digits
+    table[np.arange(d), np.count_nonzero(digits, axis=1)] = ord(",")
+    table[2 * d, 0] = ord("[")
+    table[2 * d + 1, :3] = np.frombuffer(b"]],", dtype=np.uint8)
+    bare, open_, close, nul = d, 2 * d, 2 * d + 1, 2 * d + 2
+    n, k = ids.shape
+    columns = np.arange(k)
+    for b0 in range(0, n, WRITE_BLOCK_ROWS):
+        c = cols[b0 : b0 + WRITE_BLOCK_ROWS]
+        widths = c[:, 3:4]
+        cells = np.empty((len(c), k + 6), dtype=np.int64)
+        cells[:, [0, 4, 5 + k]] = open_, open_, close
+        cells[:, 1:4] = index(c[:, :3])
+        at = cells[:, 5 : 5 + k]
+        at[:] = index(ids[b0 : b0 + WRITE_BLOCK_ROWS])
+        at += bare * (columns == widths - 1)
+        at[columns >= widths] = nul
+        text = _block_text(table.take(cells, axis=0), b0, score_blocks)
+        f.write(text[:-1] if b0 + len(c) == n else text)  # the last row takes no comma
+
+
+def _block_text(buf, b0, score_blocks) -> bytes:
+    """A write block's text: the bytes of its (rows, cells, width) `buf`
+    without NULs, with each scored row's `,[1..C],[scores]` spliced in
+    before its closing `],`. The score text comes from one `json.dumps`
+    per score block, or per part of one that lies in this block."""
+    rows = len(buf)
+    flat = buf.ravel()
+    out = np.compress(flat != 0, flat).tobytes()
+    parts = [
+        (max(r, b0) - b0, block[max(r, b0) - r : b0 + rows - r])
+        for r, block in score_blocks
+        if r < b0 + rows and r + len(block) > b0
+    ]
+    if not parts:
+        return out
+    ends = np.cumsum(np.count_nonzero(buf.reshape(rows, -1), axis=1)) - 2
+    pieces, prev = [], 0
+    for r, scores in parts:
+        candidates = json.dumps(list(range(1, scores.shape[1] + 1)), separators=(",", ":"))
+        head = f",{candidates},[".encode()
+        # `[[a,b],[c]]` -> `a,b` and `c`: float text holds no brackets
+        dumped = json.dumps(scores.tolist(), separators=(",", ":"))
+        rows_text = dumped[2:-2].encode().split(b"],[")
+        for end, text in zip(ends[r : r + len(scores)].tolist(), rows_text):
+            pieces += (out[prev:end], head, text, b"]")
+            prev = end
+    pieces.append(out[prev:])
+    return b"".join(pieces)

@@ -143,11 +143,14 @@ def test_criterion_5_positions_stay_in_distribution():
     n = 8 * L  # far beyond what full attention could position
     engine.encode(random_tokens(n, vocab=32, seed=9))
     engine.generate(48)
-    max_pos = model.rope.max_position_applied
+    steps = engine.counters.steps
+    max_pos = max(
+        engine.counters.encode_max_rotary_position, *(s.max_rotary_position for s in steps)
+    )
     in_dist = max_pos < L
     exact = True
     recent = 0
-    for step in engine.counters.steps:
+    for step in steps:
         exact = exact and step.max_rotary_position == k * l + recent
         recent = (recent + 1) % l
     ok = in_dist and exact

@@ -84,14 +84,6 @@ def test_rotary_length_mismatch():
         table.apply(np.zeros((3, 8)), [0, 1])
 
 
-def test_rotary_records_max_position():
-    table = RotaryTable(d_head=8, max_positions=64)
-    table.apply(np.zeros((2, 8)), [3, 17])
-    assert table.max_position_applied == 17
-    table.apply(np.zeros((1, 8)), [5])
-    assert table.max_position_applied == 17
-
-
 def test_full_attention_single_token(tiny_model):
     logits = full_attention_forward(tiny_model, [3])
     assert logits.shape == (1, tiny_model.config.vocab_size)

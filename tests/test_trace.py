@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from chunkattn import SelectionTrace, cover_rate, export_heatmap, hit_rate, retrieval_rate
 from chunkattn.selection import rank_top
-from chunkattn.trace import TraceRecord
+from chunkattn.trace import WRITE_BLOCK_ROWS, TraceRecord
 
 
 def reference_json(records, meta):
@@ -55,6 +55,11 @@ def reference_hit_rate(records, targets, top):
     return hits / len(records)
 
 
+def wide(small):
+    """`small`, or an integer of any digit width up to 13, either sign."""
+    return small | st.integers(0, 12).flatmap(lambda e: st.integers(-(10**e), 10**e))
+
+
 @st.composite
 def trace_ops(draw):
     """A chunk count m and a list of single appends and block writes. A
@@ -62,8 +67,8 @@ def trace_ops(draw):
     i + 1. Some cases hold only scored blocks, so hit rates are defined."""
     m = draw(st.integers(1, 12))
     k = draw(st.integers(0, 6))
-    ids = st.integers(-1, m + 3)
-    units = st.integers(-1, 3)  # layer and head numbers
+    ids = wide(st.integers(-1, m + 3))
+    units = wide(st.integers(-1, 3))  # layer and head numbers
     only_scored = draw(st.booleans())
     # few distinct values, so scores often tie; rows past 64 scores take
     # rank_top's partition path
@@ -71,7 +76,8 @@ def trace_ops(draw):
     sizes = st.integers(0, 5) | st.integers(65, 70)
 
     ops = []
-    for step in range(draw(st.integers(0, 8))):
+    for i in range(draw(st.integers(0, 8))):
+        step = draw(wide(st.just(i)))
         width = draw(st.integers(0, k))
         if not only_scored and draw(st.booleans()):
             chunks = tuple(draw(st.lists(ids, min_size=width, max_size=width)))
@@ -85,6 +91,54 @@ def trace_ops(draw):
             scores = draw(hnp.arrays(np.float64, (count, draw(sizes)), elements=values))
         ops.append(("block", step, draw(units), heads, width, rows, scores))
     return m, ops
+
+
+def record_block(trace, expected, step, layer, heads, ids, scores=None):
+    trace.append_block(step, layer, heads, ids, scores)
+    heads = np.broadcast_to(heads, len(ids)).tolist()
+    for i, (head, chunks) in enumerate(zip(heads, ids.tolist())):
+        rec = TraceRecord(step, layer, head, tuple(chunks))
+        if scores is not None:
+            rec.candidates = tuple(range(1, scores.shape[1] + 1))
+            rec.scores = tuple(scores[i].tolist())
+        expected.append(rec)
+
+
+def test_trace_json_across_write_blocks(tmp_path):
+    # more rows than one write block, of widths 0 to 5, with a scored block
+    # across the seam between the first two write blocks and a scored last row
+    rng = np.random.default_rng(3)
+    meta = {"m": 50, "policy": "top-k"}
+    trace, expected = SelectionTrace(meta=meta), []
+    seam = WRITE_BLOCK_ROWS
+    head = np.arange(seam - 5) % 4
+    record_block(trace, expected, 0, 0, head, rng.integers(-1, 50, (seam - 5, 3)))
+    for width in (0, 2):
+        chunks = tuple(rng.integers(-1, 50, width).tolist())
+        trace.append(1, 1, 7, chunks)
+        expected.append(TraceRecord(1, 1, 7, chunks))
+    scores = rng.normal(size=(6, 5))
+    scores[0, 1], scores[2, 0], scores[4, 4], scores[5, 2] = np.nan, np.inf, -np.inf, -0.0
+    record_block(trace, expected, 2, 0, np.arange(6), rng.integers(-1, 50, (6, 2)), scores)
+    record_block(trace, expected, 3, 1, 2, np.empty((10, 0), dtype=np.int64))
+    record_block(trace, expected, 4, 1, 3, rng.integers(-1, 50, (2, 5)), rng.normal(size=(2, 3)))
+    assert trace.score_blocks[0][0] < seam < trace.score_blocks[0][0] + 6 < len(trace)
+
+    trace.to_json(tmp_path / "trace.json")
+    assert (tmp_path / "trace.json").read_bytes() == reference_json(expected, meta).encode()
+
+
+def test_heatmap_keeps_extreme_layer_and_head_numbers(tmp_path):
+    trace = SelectionTrace(meta={"m": 3})
+    for layer, head, chunk in [(10**18, -(10**18), 1), (10**18, 10**18, 2), (3, 2, 2)]:
+        trace.append(0, layer, head, (chunk,))
+    export_heatmap(trace, tmp_path / "heatmap.csv")
+    with open(tmp_path / "heatmap.csv", newline="") as f:
+        assert list(csv.reader(f))[1:] == [
+            ["3", "2", "0", "0", "1"],
+            [str(10**18), str(-(10**18)), "0", "1", "0"],
+            [str(10**18), str(10**18), "0", "0", "1"],
+        ]
 
 
 @settings(max_examples=150, deadline=None)

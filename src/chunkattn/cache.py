@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import model
 from .representation import build_chunk_repr
 
 RESIDENCY_MODES = ("hot", "offload", "budget")
@@ -255,7 +256,13 @@ class ChunkStore:
         sealed = list(range(first, first + n // l))
         if sealed:
             blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V, K_rot)]
-            reprs = build_chunk_repr(first, *blocks[:3])
+            # summarized in batches of about DENSE_BLOCK_ROWS rows, which
+            # bounds the (chunks, l, l) attention scratch
+            per = max(1, model.DENSE_BLOCK_ROWS // l)
+            reprs = np.concatenate([
+                build_chunk_repr(first + c, *(b[c : c + per] for b in blocks[:3]))
+                for c in range(0, len(sealed), per)
+            ])
             self._install_sealed(layer, head, reprs, blocks[3], blocks[2])
         self._recent[layer][:, head, : n - n_full] = [a[n_full:] for a in (Q, K, V, K_rot)]
         self._recent_lens[layer][head] = n - n_full
@@ -283,19 +290,32 @@ class ChunkStore:
         """Rotated K and V rows of each head's selected sealed chunks, then
         its recent rows.
 
-        `chunk_ids` is an (H, width) matrix whose row h lists head h's chunks
-        in strictly ascending order. Returns (K, V), each (H, width * l +
-        recent, d_head). Heads are served one after another: a head's slabs
-        are stamped in id order, offloaded ones are fetched and counted, and
-        under budget residency promoted, then that head's slabs are evicted
-        down to the budget and the hot peak is sampled. The hot set is
-        otherwise left unchanged.
+        `chunk_ids` is an (H, width) integer matrix whose row h lists head
+        h's sealed chunks in strictly ascending order. Returns (K, V), each
+        (H, width * l + recent, d_head). The whole matrix is checked before
+        any state changes, so a rejected call leaves the store as it was.
+        Heads are served one after another: a head's slabs are stamped in id
+        order, offloaded ones are fetched and counted, and under budget
+        residency promoted, then that head's slabs are evicted down to the
+        budget and the hot peak is sampled. The hot set is otherwise left
+        unchanged.
         """
         ids = np.asarray(chunk_ids)
         H, l, d = self.n_heads, self.chunk_size, self.d_head
-        if ids.ndim != 2 or ids.shape[0] != H:
-            raise ValueError(f"chunk ids must be an ({H}, width) matrix, got shape {ids.shape}")
+        if ids.ndim != 2 or ids.shape[0] != H or (ids.size and ids.dtype.kind not in "iu"):
+            raise ValueError(
+                f"chunk ids must be an ({H}, width) integer matrix, got {ids.dtype} {ids.shape}"
+            )
         recent = self.recent_len(layer)
+        id_rows = ids.tolist()
+        for head, head_ids in enumerate(id_rows):
+            sealed, prev = len(self._slabs[layer][head]), -1
+            for cid in head_ids:
+                if not 0 <= cid < sealed:
+                    raise KeyError(f"unknown chunk id {cid} (sealed: {sealed})")
+                if cid <= prev:
+                    raise ValueError(f"chunk ids must be strictly ascending, got {tuple(head_ids)}")
+                prev = cid
         width = ids.shape[1]
         rows = width * l + recent
         K = np.empty((H, rows, d))
@@ -306,15 +326,9 @@ class ChunkStore:
             k_bytes, v_bytes = memoryview(K).cast("B"), memoryview(V).cast("B")
         slab_bytes = l * d * K.itemsize
         budget = self.mode == "budget"
-        for head, head_ids in enumerate(ids.tolist()):
+        for head, head_ids in enumerate(id_rows):
             slabs, lru = self._slabs[layer][head], self._lru[layer][head]
-            prev = -1
             for j, cid in enumerate(head_ids):
-                if not 0 <= cid < len(slabs):
-                    raise KeyError(f"unknown chunk id {cid} (sealed: {len(slabs)})")
-                if cid <= prev:
-                    raise ValueError(f"chunk ids must be strictly ascending, got {tuple(head_ids)}")
-                prev = cid
                 slab = slabs[cid]
                 self._clock += 1
                 slab.stamp = self._clock

@@ -24,6 +24,7 @@ from .model import (
     causal_mask,
     full_attention_forward,
     rms_norm,
+    row_blocks,
 )
 from .remapping import remap
 from .selection import rank_top, select
@@ -116,7 +117,18 @@ class Engine:
     # -- encoding ----------------------------------------------------------
 
     def encode(self, tokens) -> np.ndarray:
-        """Process a prompt; returns the (n, vocab) logits matrix."""
+        """Process a prompt; returns the (n, vocab) logits matrix.
+
+        Layer by layer, over the whole prompt: chunked attention
+        (`_encode_layer`), then the attention output projection, the MLP
+        and, after the last layer, the logits. The dense per-token stages
+        run in blocks of `model.DENSE_BLOCK_ROWS` rows, and each layer's
+        Q, K, V and attention output are dropped as soon as they are dead.
+        So beyond what encode keeps (the store's slabs and summaries, the
+        trace rows and the logits), its peak memory is the hidden state,
+        one layer's (H, n, d_head) Q, V, rotated K and attention output,
+        and one block's scratch.
+        """
         mc = self.model.config
         cfg = self.config
         toks = as_token_array(tokens, mc.vocab_size)
@@ -131,11 +143,13 @@ class Engine:
         try:
             h = self.model.embed[toks]
             for layer in range(mc.n_layers):
-                x = rms_norm(h)
-                Q, K, V = self.model.project_heads(layer, x)
-                attn = self._encode_layer(layer, Q, K, V)
-                h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
+                attn = self._encode_layer(layer, h)
+                wo = self.model.layers[layer].wo
+                for i, j in row_blocks(n):
+                    h[i:j] += self.model.merge_heads(attn[:, i:j]) @ wo
+                del attn
                 h = self.model.mlp(layer, h)
+            self._layer0_encode_ids.clear()  # read only by later layers' selection
             logits = self.model.logits_from_hidden(h)
             if not np.isfinite(logits).all():
                 raise FloatingPointError(f"non-finite logits in encode of {n} tokens")
@@ -143,12 +157,14 @@ class Engine:
             # The layout is set and the store and trace hold some layers.
             self._failure = f"encode of {n} tokens raised {exc!r}"
             raise
-        self.last_logits = logits[-1]
+        # a copy, so that the engine does not keep the whole matrix alive
+        self.last_logits = logits[-1].copy()
         self.counters.encode_tokens = n
         return logits
 
-    def _encode_layer(self, layer, Q, K, V) -> np.ndarray:
-        """One layer's chunked attention over the whole prompt, (H, n, d_head).
+    def _encode_layer(self, layer, h) -> np.ndarray:
+        """One layer's chunked attention over the whole prompt's (n, d_model)
+        hidden rows h, (H, n, d_head).
 
         Selection runs for every chunk first, so the trace keeps chunk order.
         Every key is rotated once, by its offset r inside its chunk, and
@@ -161,14 +177,23 @@ class Engine:
         and attends all heads in one call. A larger block attends one head
         at a time and passes each distinct chunk that head selected once,
         with every slot's row among them.
+
+        The layer's Q, K and V are projected here, and K, whose last use is
+        the chunk summaries, is dropped before attention; keys are rotated
+        in blocks of `model.DENSE_BLOCK_ROWS` rows.
         """
         l = self.config.chunk_size
         H, d = self.model.config.n_heads, self.model.config.d_head
         rope = self.model.rope
         bounds = self.layout.bounds
-        K_rot = rope.apply(K, np.arange(K.shape[1]) % l)
+        Q, K, V = self.model.project_heads(layer, rms_norm(h))
+        K_rot = np.empty_like(K)
+        offsets = np.arange(K.shape[1]) % l
+        for i, j in row_blocks(K.shape[1]):
+            K_rot[:, i:j] = rope.apply(K[:, i:j], offsets[i:j])
         for head in range(H):
             self.store.bulk_append(layer, head, Q[head], K[head], V[head], K_rot[head])
+        del K  # the summaries were its last use
         reprs = self.store.layer_reprs(layer)
         # Chunk 0 selects nothing; with scores on, it records zero candidates.
         l_0 = bounds[0][1]

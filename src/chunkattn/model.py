@@ -18,6 +18,12 @@ from .config import ModelConfig
 NORM_EPS = 1e-6
 ROPE_BASE = 10000.0
 
+# Rows per block of the dense per-token stages over a whole prompt (the
+# MLP and the logits; in encode also the attention output projection, key
+# rotation and chunk summaries), so that their scratch memory is one
+# block's whatever the prompt length. At least 2: see `row_blocks`.
+DENSE_BLOCK_ROWS = 2048
+
 
 def rms_norm(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     return x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
@@ -100,6 +106,29 @@ def _distinct_index(slot_of: np.ndarray):
     )
     query = np.arange(slot_of.shape[-2])[:, None]
     return lead + (slot_of, query), lead + (query, slot_of)
+
+
+def row_blocks(n: int) -> list:
+    """(start, end) of consecutive blocks of at most DENSE_BLOCK_ROWS rows
+    that cover n rows. A one-row tail joins the block before it: numpy
+    multiplies a single row by gemv, whose sums round differently from
+    gemm's, and every row must come out as it would in one whole matmul."""
+    starts = list(range(0, n, DENSE_BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def by_row_blocks(fn, x: np.ndarray, width: int) -> np.ndarray:
+    """The (t, width) result of the row-wise function fn on the t rows of
+    x, computed block by block over `row_blocks(t)` into one array; a
+    single call when t fits one block."""
+    if len(x) <= DENSE_BLOCK_ROWS:
+        return fn(x)
+    out = np.empty((len(x), width))
+    for i, j in row_blocks(len(x)):
+        out[i:j] = fn(x[i:j])
+    return out
 
 
 def rotate_half(x: np.ndarray) -> np.ndarray:
@@ -229,12 +258,19 @@ class HostModel:
         return split(lw.wq), split(lw.wk), split(lw.wv)
 
     def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
-        return rms_norm(hidden) @ self.w_out
+        """(t, vocab) logits of (t, d_model) final hidden rows, computed in
+        blocks of DENSE_BLOCK_ROWS rows."""
+        return by_row_blocks(lambda x: rms_norm(x) @ self.w_out, hidden, self.config.vocab_size)
 
     def mlp(self, layer: int, h: np.ndarray) -> np.ndarray:
+        """The residual MLP block, h + silu(rms_norm(h) @ w_up) @ w_down, of
+        (t, d_model) rows. It runs in blocks of DENSE_BLOCK_ROWS rows written
+        into one new array, so its (rows, 4 * d_model) scratch is one
+        block's at any t; a block's rows come out as in one whole pass."""
         lw = self.layers[layer]
-        x = rms_norm(h)
-        return h + silu(x @ lw.w_up) @ lw.w_down
+        return by_row_blocks(
+            lambda x: x + silu(rms_norm(x) @ lw.w_up) @ lw.w_down, h, self.config.d_model
+        )
 
     def merge_heads(self, per_head: np.ndarray) -> np.ndarray:
         """(H, t, d_head) -> (t, d_model)."""

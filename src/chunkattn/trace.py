@@ -51,14 +51,15 @@ class SelectionTrace:
 
     def _reserve(self, rows: int, width: int) -> None:
         """Make room for `rows` rows of up to `width` ids, doubling each
-        capacity when it runs out."""
+        capacity when it runs out. New room is left uninitialised, so only
+        rows as they are written become resident; `_write` pads them."""
         cap, k_cap = self._ids.shape
         if rows <= cap and width <= k_cap:
             return
         cap = max(8, 2 * cap, rows) if rows > cap else cap
         k_cap = max(2 * k_cap, width) if width > k_cap else k_cap
         n = self._n
-        ids = np.full((cap, k_cap), -1, dtype=np.int64)
+        ids = np.empty((cap, k_cap), dtype=np.int64)
         ids[:n, : self._k] = self._ids[:n, : self._k]
         cols = np.empty((cap, 4), dtype=np.int64)
         cols[:n] = self._cols[:n]
@@ -99,10 +100,13 @@ class SelectionTrace:
         count, k = ids.shape
         r = self._n
         self._reserve(r + count, k)
+        if k > self._k:  # pad the rows already written to the new width
+            self._ids[:r, self._k : k] = -1
+            self._k = k
         block = self._cols[r : r + count]
         block[:, 0], block[:, 1], block[:, 2], block[:, 3] = step, layer, head, width
         self._ids[r : r + count, :k] = ids
-        self._k = max(self._k, k)
+        self._ids[r : r + count, k : self._k] = -1
         self._n = r + count
 
     def __len__(self) -> int:

@@ -108,6 +108,28 @@ def test_gather_rejects_unknown_and_unordered():
         store.gather(0, [0, 1])
 
 
+def test_rejected_gather_leaves_the_store_unchanged():
+    # head 0's ids are valid and cold; head 1 rejects its last id, after its
+    # valid first one
+    store = make_store(l=4, heads=2, residency="budget", budget=8)
+    for head in range(2):
+        fill_chunks(store, 4, head=head, seed=head)
+
+    def state():
+        flags = [store.residency_flags(0, head) for head in range(2)]
+        return store.counters(), flags, store._clock, store._hot_level, store.hot_tokens()
+
+    before = state()
+    with pytest.raises(KeyError, match="unknown chunk id 9"):
+        store.gather(0, [[0, 1], [1, 9]])
+    assert state() == before
+    with pytest.raises(ValueError, match="ascending"):
+        store.gather(0, [[0, 1], [2, 2]])
+    with pytest.raises(ValueError, match="integer"):
+        store.gather(0, [[0.0, 1.0], [1.0, 2.0]])
+    assert state() == before
+
+
 def test_gather_stacks_heads_and_rejects_uneven_heads():
     store = make_store(l=4, heads=2)
     for head in range(2):

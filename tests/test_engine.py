@@ -214,6 +214,13 @@ def test_engine_lifecycle_errors(tiny_model):
         engine.generate(1, sampler="nucleus")
 
 
+def test_last_logits_do_not_pin_the_encode_logits(tiny_model):
+    engine = make_engine(tiny_model)
+    logits = engine.encode(random_tokens(70))
+    assert engine.last_logits.base is None
+    np.testing.assert_array_equal(engine.last_logits, logits[-1])
+
+
 def test_token_validation(tiny_model):
     engine = make_engine(tiny_model)
     with pytest.raises(ValueError, match="token ids"):
@@ -776,3 +783,26 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
         calls.clear()
         engine.generate(1)
         assert [len(sel) for _, sel in calls] == [3] * L
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_dense_block_size_leaves_outputs_unchanged(wide_model, policy, monkeypatch, tmp_path):
+    import chunkattn.model as model_module
+
+    # 218 = 31 * 7 + 1 rows, so the one-row tail joins the block before it;
+    # the last chunk is partial and decode crosses the seal at 224
+    l, k, n, steps = 16, 4, 13 * 16 + 10, 20
+
+    def run(block, residency, budget):
+        monkeypatch.setattr(model_module, "DENSE_BLOCK_ROWS", block)
+        engine = make_engine(wide_model, l=l, k=k, policy=policy, residency=residency,
+                             budget=budget)
+        logits = engine.encode(random_tokens(n))
+        tokens = engine.generate(steps).tokens
+        path = tmp_path / f"trace-{block}.json"
+        engine.trace.to_json(path)
+        return (tokens, path.read_bytes(), engine.counters_dict(), engine.store.peak_hot_tokens,
+                logits.tobytes(), engine.last_logits.tobytes())
+
+    for residency, budget in [("hot", None), ("offload", None), ("budget", (k + 1) * l)]:
+        assert run(7, residency, budget) == run(n, residency, budget)

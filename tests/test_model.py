@@ -225,3 +225,28 @@ def test_attend_with_slots_matches_one_concatenated_softmax():
         # the same chunks read once per distinct chunk
         from_distinct = attend(q, k, v, mask, distinct)
         assert np.abs(from_distinct - out).max() <= 1e-12 * np.abs(out).max()
+
+
+def test_mlp_scratch_is_one_block(tiny_model, monkeypatch):
+    import tracemalloc
+
+    import chunkattn.model as model_module
+
+    block = 256
+    monkeypatch.setattr(model_module, "DENSE_BLOCK_ROWS", block)
+    d_model = tiny_model.config.d_model
+    h = np.random.default_rng(0).normal(size=(4 * block, d_model))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = tiny_model.mlp(0, h)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 3 blocks' worth of (rows, 4 * d_model) silu temporaries live at
+    # once; a whole 4-block pass holds 12
+    scratch = block * 4 * d_model * h.itemsize
+    assert peak - out.nbytes <= 4 * scratch
+    monkeypatch.setattr(model_module, "DENSE_BLOCK_ROWS", len(h))
+    np.testing.assert_array_equal(out, tiny_model.mlp(0, h))

@@ -128,6 +128,23 @@ def test_trace_json_across_write_blocks(tmp_path):
     assert (tmp_path / "trace.json").read_bytes() == reference_json(expected, meta).encode()
 
 
+def test_chunk_ids_pad_rows_written_before_a_wider_row():
+    # capacity grows by rows and by width several times; every row reads
+    # its ids then -1 up to the widest row written so far
+    trace, expected = SelectionTrace(), []
+    rng = np.random.default_rng(5)
+    for count, width in [(3, 2), (1, 0), (20, 5), (2, 1), (40, 7), (9, 3)]:
+        ids = rng.integers(0, 50, (count, width))
+        if count == 1:
+            trace.append(0, 0, 0, ids[0].tolist())
+        else:
+            trace.append_block(0, 0, 0, ids)
+        expected += [row.tolist() for row in ids]
+        widest = max(map(len, expected))
+        padded = [row + [-1] * (widest - len(row)) for row in expected]
+        np.testing.assert_array_equal(trace.chunk_ids, np.array(padded, dtype=np.int64))
+
+
 def test_heatmap_keeps_extreme_layer_and_head_numbers(tmp_path):
     trace = SelectionTrace(meta={"m": 3})
     for layer, head, chunk in [(10**18, -(10**18), 1), (10**18, 10**18, 2), (3, 2, 2)]:

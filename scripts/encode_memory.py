@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Encode time and peak memory of one prompt at the CLI default shape.
 
-Builds the CLI's default model (L=2, H=4, d_head=16, vocab 64, a rotary
-table of 1024 positions) and an engine with l=64, k=8, top-k selection
-and offload residency. It encodes one
-synthetic prompt of N tokens and prints encode µs per token and the
-process's peak resident set size (`ru_maxrss`) per prompt token. Run it
-once per N: each run is a fresh process, so the peak is this encode's.
+Builds the model, engine configuration (l=64, k=8, top-k) and synthetic
+prompt that `chunkattn run` uses when given no options, with offload
+residency. It encodes one prompt of N tokens and prints encode µs per
+token and the process's peak resident set size (`ru_maxrss`) per prompt
+token. Run it once per N: each run is a fresh process, so the peak is
+this encode's.
 
 Usage: python3 scripts/encode_memory.py --n 65536
 """
@@ -15,9 +15,7 @@ import argparse
 import resource
 import time
 
-import numpy as np
-
-from chunkattn import Engine, EngineConfig, ModelConfig, build_model
+from chunkattn import Engine, ModelConfig, build_model, cli
 
 
 def max_rss_mb() -> float:
@@ -27,26 +25,23 @@ def max_rss_mb() -> float:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--n", type=int, required=True, help="prompt length in tokens")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    model = build_model(
-        ModelConfig.create(
-            n_layers=2, n_heads=4, d_head=16, vocab_size=64, pretrain_length=1024, seed=7
-        )
+    model_cfg = ModelConfig.create(**cli.DEFAULT_MODEL)
+    engine_cfg = cli._load_engine_config(
+        argparse.Namespace(engine_config=None, chunk_size=None, k=None, seed=None)
     )
-    engine = Engine(
-        model,
-        EngineConfig(chunk_size=64, num_selected=8, policy="top-k", seed=args.seed),
-        residency="offload",
-    )
-    tokens = np.random.default_rng([args.seed, args.n]).integers(0, 64, size=args.n)
+    engine = Engine(build_model(model_cfg), engine_cfg, residency="offload")
+    tokens = cli._synthetic_tokens(args.n, model_cfg.vocab_size, engine_cfg.seed)
     before = max_rss_mb()
     t0 = time.perf_counter()
     engine.encode(tokens)
     seconds = time.perf_counter() - t0
     peak = max_rss_mb()
-    print(f"n={args.n} encode_s={seconds:.2f} us_per_token={seconds / args.n * 1e6:.1f}")
+    print(
+        f"n={args.n} l={engine_cfg.chunk_size} k={engine_cfg.num_selected} "
+        f"encode_s={seconds:.2f} us_per_token={seconds / args.n * 1e6:.1f}"
+    )
     print(
         f"ru_maxrss_mb={peak:.1f} (before encode {before:.1f}) "
         f"ru_maxrss_kb_per_token={peak * 1024 / args.n:.2f}"

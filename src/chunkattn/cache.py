@@ -241,8 +241,10 @@ class ChunkStore:
     def bulk_append(self, layer: int, head: int, Q, K, V, K_rot) -> list:
         """Ingest a block of tokens at once, sealing every complete chunk.
 
-        Equivalent to repeated append_token; used by the encoding phase,
-        where all complete chunks are summarized up front in one batch.
+        Equivalent to repeated append_token; used by the encoding phase.
+        The complete chunks are summarized in batches of about
+        DENSE_BLOCK_ROWS rows, which bounds the (chunks, l, l) attention
+        scratch.
         """
         Q, K, V, K_rot = (np.asarray(a, dtype=np.float64) for a in (Q, K, V, K_rot))
         if not Q.shape == K.shape == V.shape == K_rot.shape or Q.ndim != 2:
@@ -256,8 +258,6 @@ class ChunkStore:
         sealed = list(range(first, first + n // l))
         if sealed:
             blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V, K_rot)]
-            # summarized in batches of about DENSE_BLOCK_ROWS rows, which
-            # bounds the (chunks, l, l) attention scratch
             per = max(1, model.DENSE_BLOCK_ROWS // l)
             reprs = np.concatenate([
                 build_chunk_repr(first + c, *(b[c : c + per] for b in blocks[:3]))

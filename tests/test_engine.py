@@ -620,7 +620,8 @@ def test_encode_builds_chunk_reprs_once_per_layer_and_head(tiny_model, monkeypat
     l, n = 16, 9 * 16 + 13
     engine = make_engine(tiny_model, l=l, k=4)
     engine.encode(random_tokens(n))
-    # one batch holds every complete chunk of one (layer, head)
+    # 9 * 16 rows fit one DENSE_BLOCK_ROWS block, so one batch holds every
+    # complete chunk of one (layer, head)
     assert batches == [(0, (9, l, d))] * (L * H)
     appends = []
     append_token = engine.store.append_token
@@ -790,7 +791,8 @@ def test_dense_block_size_leaves_outputs_unchanged(wide_model, policy, monkeypat
     import chunkattn.model as model_module
 
     # 218 = 31 * 7 + 1 rows, so the one-row tail joins the block before it;
-    # the last chunk is partial and decode crosses the seal at 224
+    # the last chunk is partial and decode crosses the seal at 224. Block
+    # 4 * l summarizes the 13 complete chunks in batches of 4, 4, 4 and 1.
     l, k, n, steps = 16, 4, 13 * 16 + 10, 20
 
     def run(block, residency, budget):
@@ -805,4 +807,6 @@ def test_dense_block_size_leaves_outputs_unchanged(wide_model, policy, monkeypat
                 logits.tobytes(), engine.last_logits.tobytes())
 
     for residency, budget in [("hot", None), ("offload", None), ("budget", (k + 1) * l)]:
-        assert run(7, residency, budget) == run(n, residency, budget)
+        whole = run(n, residency, budget)
+        for block in (7, 4 * l):
+            assert run(block, residency, budget) == whole

@@ -177,6 +177,8 @@ def build_passkey(
         raise ValueError(f"m={m} must be >= 3")
     if not 0 <= target < m:
         raise ValueError(f"target={target} outside [0, {m})")
+    if not np.isfinite(gap):
+        raise ValueError(f"gap={gap} must be finite")
     rng = np.random.default_rng(noise_seed)
     shape = (n_heads, m, chunk_size, d_head)
     keys = rng.normal(0.0, 1.0, shape)

@@ -25,8 +25,9 @@ the peak is sampled where per-head appends would sample it. Budget
 residency keeps each head's hot slabs in a dict in stamp order and evicts
 from its front.
 
-`append_token` writes, and `gather` reads, every head of a layer at once;
-both reject a layer whose heads hold different numbers of recent rows.
+`bulk_append` and `append_token` write, and `gather` reads, every head of
+a layer at once, so between calls a layer's heads hold equally many sealed
+chunks and recent rows. Residency is fixed when the store is built.
 """
 
 from __future__ import annotations
@@ -37,14 +38,6 @@ from . import model
 from .representation import build_chunk_repr
 
 RESIDENCY_MODES = ("hot", "offload", "budget")
-
-
-def _common_count(layer: int, per_head, what: str) -> int:
-    """The one value of the per-head counts of `layer`."""
-    counts = set(per_head)
-    if len(counts) != 1:
-        raise ValueError(f"heads of layer {layer} hold different numbers of {what}: {counts}")
-    return counts.pop()
 
 
 class _Slab:
@@ -90,13 +83,30 @@ class ChunkStore:
         self.n_heads = n_heads
         self.d_head = d_head
         self.chunk_size = chunk_size
-        self.working_set_tokens = working_set_tokens
+        if residency not in RESIDENCY_MODES:
+            raise ValueError(
+                f"unknown residency mode {residency!r}; expected one of {RESIDENCY_MODES}"
+            )
+        if residency == "budget":
+            # keep at most `budget` hot tokens per (layer, head), evicting the
+            # least-recently-gathered slab first
+            if budget is None:
+                raise ValueError("budget residency requires a token budget")
+            if working_set_tokens is not None and budget < working_set_tokens:
+                raise ValueError(
+                    f"budget={budget} cannot hold one working set of {working_set_tokens} tokens"
+                )
+        else:
+            budget = None
+        self.mode = residency
+        self.budget = budget
         self._slabs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
         # budget residency only: each head's hot slabs, oldest stamp first
         self._lru = [[{} for _ in range(n_heads)] for _ in range(n_layers)]
         self._reprs = [np.empty((n_heads, 0, d_head)) for _ in range(n_layers)]
         # rows 0..3 of a layer's buffer: Q, K, V and rotated K
         self._recent = [np.empty((4, n_heads, chunk_size, d_head)) for _ in range(n_layers)]
+        # per head, because a write installs heads one after another
         self._recent_lens = [[0] * n_heads for _ in range(n_layers)]
         self._clock = 0
         self._hot_level = 0
@@ -105,48 +115,8 @@ class ChunkStore:
         self.tokens_gathered_this_step = 0
         self.tokens_gathered_total = 0
         self.peak_hot_tokens = 0
-        self.mode = "hot"
-        self.budget = None
-        self.set_residency(residency, budget)
 
     # -- residency ---------------------------------------------------------
-
-    def set_residency(self, mode: str, budget: int | None = None) -> None:
-        """Switch tiers administratively (no load counting).
-
-        budget mode keeps at most `budget` hot tokens per (layer, head),
-        evicting the least-recently-gathered slab first.
-        """
-        if mode not in RESIDENCY_MODES:
-            raise ValueError(f"unknown residency mode {mode!r}; expected one of {RESIDENCY_MODES}")
-        if mode == "budget":
-            if budget is None:
-                raise ValueError("budget residency requires a token budget")
-            floor = self.working_set_tokens
-            if floor is not None and budget < floor:
-                raise ValueError(
-                    f"budget={budget} cannot hold one working set of {floor} tokens"
-                )
-        else:
-            budget = None
-        self.mode = mode
-        self.budget = budget
-        for layer in range(self.n_layers):
-            for head in range(self.n_heads):
-                slabs = self._slabs[layer][head]
-                lru = self._lru[layer][head] = {}
-                if mode == "offload":
-                    for slab in slabs:
-                        if slab.hot:
-                            self._offload(slab)
-                elif mode == "hot":
-                    for slab in slabs:
-                        if not slab.hot:
-                            self._promote(slab, *slab.fetch())
-                else:
-                    lru.update((s, None) for s in sorted(slabs, key=lambda s: s.stamp) if s.hot)
-                    self._evict_over_budget(lru)
-        self._note_hot_level()
 
     def _evict_over_budget(self, lru: dict) -> None:
         """Offload the oldest-stamped of one head's hot slabs `lru` until
@@ -226,7 +196,7 @@ class ChunkStore:
             self._hot_level += H
             self._note_hot_level()
             return None
-        chunk_id = _common_count(layer, map(len, self._slabs[layer]), "sealed chunks")
+        chunk_id = self.sealed_count(layer)
         # one chunk per head: (H, 1, l, d_head) Q, K, V, then V and K_rot copied
         reprs = build_chunk_repr(chunk_id, *buf[:3, :, None])
         V, K_rot = buf[2:, :, None].copy()
@@ -238,51 +208,56 @@ class ChunkStore:
             self._hot_level -= l
         return chunk_id
 
-    def bulk_append(self, layer: int, head: int, Q, K, V, K_rot) -> list:
-        """Ingest a block of tokens at once, sealing every complete chunk.
+    def bulk_append(self, layer: int, Q, K, V, K_rot) -> list:
+        """Ingest (H, tokens, d_head) blocks for every head of `layer` at
+        once, sealing every complete chunk; returns the sealed chunk ids.
 
         Equivalent to repeated append_token; used by the encoding phase.
-        The complete chunks are summarized in batches of about
-        DENSE_BLOCK_ROWS rows, which bounds the (chunks, l, l) attention
-        scratch.
+        The complete chunks are summarized, before any state changes, in
+        batches of about DENSE_BLOCK_ROWS rows over all heads, which bounds
+        the (H, chunks, l, l) attention scratch. Heads are then installed
+        one after another: a head's slabs, then its recent rows.
         """
         Q, K, V, K_rot = (np.asarray(a, dtype=np.float64) for a in (Q, K, V, K_rot))
-        if not Q.shape == K.shape == V.shape == K_rot.shape or Q.ndim != 2:
-            raise ValueError("Q/K/V/K_rot must be matching (tokens, d_head) blocks")
-        if self._recent_lens[layer][head]:
+        H, l = self.n_heads, self.chunk_size
+        if not Q.shape == K.shape == V.shape == K_rot.shape or Q.ndim != 3 or len(Q) != H:
+            raise ValueError(f"Q/K/V/K_rot must be matching ({H}, tokens, d_head) blocks")
+        if self.recent_len(layer):
             raise ValueError("bulk_append requires an empty recent buffer")
-        n = Q.shape[0]
-        l = self.chunk_size
+        n = Q.shape[1]
         n_full = (n // l) * l
-        first = len(self._slabs[layer][head])
+        first = self.sealed_count(layer)
         sealed = list(range(first, first + n // l))
-        if sealed:
-            blocks = [a[:n_full].reshape(-1, l, a.shape[1]) for a in (Q, K, V, K_rot)]
-            per = max(1, model.DENSE_BLOCK_ROWS // l)
-            reprs = np.concatenate([
-                build_chunk_repr(first + c, *(b[c : c + per] for b in blocks[:3]))
-                for c in range(0, len(sealed), per)
-            ])
-            self._install_sealed(layer, head, reprs, blocks[3], blocks[2])
-        self._recent[layer][:, head, : n - n_full] = [a[n_full:] for a in (Q, K, V, K_rot)]
-        self._recent_lens[layer][head] = n - n_full
-        self._hot_level += n - n_full
-        self._note_hot_level()
+        blocks = [a[:, :n_full].reshape(H, -1, l, a.shape[2]) for a in (Q, K, V, K_rot)]
+        per = max(1, model.DENSE_BLOCK_ROWS // (H * l))
+        reprs = [
+            build_chunk_repr(first + c, *(b[:, c : c + per] for b in blocks[:3]))
+            for c in range(0, len(sealed), per)
+        ]
+        reprs = np.concatenate(reprs, axis=1) if reprs else np.empty((H, 0, self.d_head))
+        tail = n - n_full
+        self._recent[layer][:, :, :tail] = [a[:, n_full:] for a in (Q, K, V, K_rot)]
+        lens = self._recent_lens[layer]
+        for head in range(H):
+            self._install_sealed(layer, head, reprs[head], blocks[3][head], blocks[2][head])
+            lens[head] = tail
+            self._hot_level += tail
+            self._note_hot_level()
         return sealed
 
     # -- reads -------------------------------------------------------------
 
-    def sealed_count(self, layer: int, head: int) -> int:
-        return len(self._slabs[layer][head])
+    def sealed_count(self, layer: int) -> int:
+        """The number of sealed chunks every head of `layer` holds."""
+        return len(self._slabs[layer][0])
 
     def recent_len(self, layer: int) -> int:
         """The number of recent rows every head of `layer` holds."""
-        return _common_count(layer, self._recent_lens[layer], "recent rows")
+        return self._recent_lens[layer][0]
 
     def layer_reprs(self, layer: int) -> np.ndarray:
         """Read-only (H, sealed, d_head) view of every head's summaries."""
-        sealed = _common_count(layer, map(len, self._slabs[layer]), "sealed chunks")
-        view = self._reprs[layer][:, :sealed]
+        view = self._reprs[layer][:, : self.sealed_count(layer)]
         view.flags.writeable = False
         return view
 

@@ -39,8 +39,14 @@ def _load_json(path: str):
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
+def _given(value, default):
+    """`value`, or `default` when the option was not given; an explicit
+    zero is kept, so that validation rejects it."""
+    return default if value is None else value
+
+
 def _load_model_config(args) -> ModelConfig:
-    if getattr(args, "model_config", None):
+    if getattr(args, "model_config", None) is not None:
         return ModelConfig.from_dict(_load_json(args.model_config), where=args.model_config)
     base = dict(DEFAULT_MODEL)
     if getattr(args, "seed", None) is not None:
@@ -49,14 +55,14 @@ def _load_model_config(args) -> ModelConfig:
 
 
 def _load_engine_config(args) -> EngineConfig:
-    if getattr(args, "engine_config", None):
+    if getattr(args, "engine_config", None) is not None:
         cfg = EngineConfig.from_dict(_load_json(args.engine_config), where=args.engine_config)
     else:
         cfg = EngineConfig(
-            chunk_size=args.chunk_size or 64,
-            num_selected=args.k or 8,
-            policy=getattr(args, "policy", None) or "top-k",
-            seed=args.seed if args.seed is not None else 0,
+            chunk_size=_given(args.chunk_size, 64),
+            num_selected=_given(args.k, 8),
+            policy=_given(getattr(args, "policy", None), "top-k"),
+            seed=_given(args.seed, 0),
         )
     return cfg
 
@@ -86,8 +92,8 @@ def cmd_equivalence(args) -> int:
     model_cfg = _load_model_config(args)
     engine_cfg = _load_engine_config(args)
     validate_pairing(model_cfg, engine_cfg)
-    n = args.n or 512
-    steps = args.steps or 32
+    n = _given(args.n, 512)
+    steps = _given(args.steps, 32)
     l, k = engine_cfg.chunk_size, engine_cfg.num_selected
     m = -(-n // l)
     if n > model_cfg.pretrain_length:
@@ -145,9 +151,9 @@ def cmd_equivalence(args) -> int:
 def cmd_passkey(args) -> int:
     out = _out_dir(args)
     m = args.m
-    k = args.k or 8
-    trials = args.trials or 50
-    seed = args.seed if args.seed is not None else 0
+    k = _given(args.k, 8)
+    trials = _given(args.trials, 50)
+    seed = _given(args.seed, 0)
     if args.target is not None and args.target in (0, m - 1):
         print(
             f"warning: target={args.target} is a mandatory chunk; "
@@ -160,9 +166,9 @@ def cmd_passkey(args) -> int:
         args.gap,
         trials,
         seed,
-        policy=args.policy or "top-k",
+        policy=_given(args.policy, "top-k"),
         target=args.target,
-        chunk_size=args.chunk_size or 16,
+        chunk_size=_given(args.chunk_size, 16),
         n_heads=args.heads,
     )
     _write_json(out / "metrics.json", report.to_dict())
@@ -189,9 +195,9 @@ def cmd_ablate(args) -> int:
             print(f"unknown policy tag {p!r}", file=sys.stderr)
             return 2
     m = args.m
-    k = args.k or 6
-    trials = args.trials or 200
-    seed = args.seed if args.seed is not None else 0
+    k = _given(args.k, 6)
+    trials = _given(args.trials, 200)
+    seed = _given(args.seed, 0)
     # Targets are placed outside the trailing window that last-k always
     # covers: the regime the ablation is about is relevant context far
     # from the generation point.
@@ -206,7 +212,7 @@ def cmd_ablate(args) -> int:
             seed,
             policy=policy,
             target_range=target_range,
-            chunk_size=args.chunk_size or 16,
+            chunk_size=_given(args.chunk_size, 16),
             n_heads=args.heads,
         )
         row = {
@@ -249,12 +255,12 @@ def _load_sweep(args, param: str, values) -> list:
     The chunk-size sweep holds the attention window k*l fixed (k adjusts),
     so the per-step load stays identical across chunk sizes.
     """
-    seed = args.seed if args.seed is not None else 0
+    seed = _given(args.seed, 0)
     rows = []
-    base_window = (args.k or 4) * values[0] if param == "chunk_size" else None
+    base_window = _given(args.k, 4) * values[0] if param == "chunk_size" else None
     for value in values:
         if param == "k":
-            k, l = value, args.chunk_size or 32
+            k, l = value, _given(args.chunk_size, 32)
         else:
             l = value
             if base_window % l:
@@ -278,21 +284,21 @@ def _load_sweep(args, param: str, values) -> list:
 def cmd_scaling(args) -> int:
     out = _out_dir(args)
     n_list = [int(v) for v in args.n_list.split(",")]
-    steps = args.steps or 8
-    seed = args.seed if args.seed is not None else 0
+    steps = _given(args.steps, 8)
+    seed = _given(args.seed, 0)
     model_cfg = (
         ModelConfig.from_dict(_load_json(args.model_config), where=args.model_config)
-        if args.model_config
+        if args.model_config is not None
         else ModelConfig.create(
             n_layers=1, n_heads=2, d_head=8, vocab_size=64,
             pretrain_length=max(n_list) + steps + 1, seed=seed,
         )
     )
-    engine_cfg = _load_engine_config(args) if args.engine_config else EngineConfig(
-        chunk_size=args.chunk_size or 64, num_selected=args.k or 4, seed=seed
+    engine_cfg = _load_engine_config(args) if args.engine_config is not None else EngineConfig(
+        chunk_size=_given(args.chunk_size, 64), num_selected=_given(args.k, 4), seed=seed
     )
     validate_pairing(model_cfg, engine_cfg)
-    residency, budget = _parse_residency(args.residency or "offload")
+    residency, budget = _parse_residency(args.residency)
     model = build_model(model_cfg)
 
     engine_steps = {}
@@ -340,6 +346,8 @@ def cmd_scaling(args) -> int:
 def cmd_run(args) -> int:
     out = _out_dir(args)
     desc = _load_json(args.descriptor)
+    if not isinstance(desc, dict):
+        raise ValueError(f"descriptor {args.descriptor} must hold a JSON object")
     required = {"model", "engine", "input", "steps"}
     missing = required - set(desc)
     if missing:
@@ -347,6 +355,8 @@ def cmd_run(args) -> int:
     model_cfg = ModelConfig.from_dict(desc["model"], where="descriptor.model")
     engine_cfg = EngineConfig.from_dict(desc["engine"], where="descriptor.engine")
     validate_pairing(model_cfg, engine_cfg)
+    if not isinstance(desc["input"], str):
+        raise ValueError(f"descriptor input must be a token file path, got {desc['input']!r}")
     tokens = _load_json(desc["input"])
     if not isinstance(tokens, list):
         raise ValueError(f"token file {desc['input']} must hold a JSON array")

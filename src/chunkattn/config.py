@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 SELECTION_POLICIES = (
     "top-k",
@@ -105,13 +103,6 @@ class ModelConfig:
         _require_exact_fields(data, cls._FIELDS, (), where)
         return cls(**{name: data[name] for name in cls._FIELDS})
 
-    @classmethod
-    def from_json(cls, path) -> "ModelConfig":
-        path = Path(path)
-        with open(path) as f:
-            data = json.load(f)
-        return cls.from_dict(data, where=str(path))
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -159,13 +150,6 @@ class EngineConfig:
                 f"num_selected*chunk_size={cfg.attention_window}"
             )
         return cfg
-
-    @classmethod
-    def from_json(cls, path) -> "EngineConfig":
-        path = Path(path)
-        with open(path) as f:
-            data = json.load(f)
-        return cls.from_dict(data, where=str(path))
 
     def to_dict(self) -> dict:
         return asdict(self)

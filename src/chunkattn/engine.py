@@ -108,7 +108,6 @@ class Engine:
             }
         )
         self.counters = EngineCounters()
-        self.step_count = 0
         self.record_scores = record_scores
         self.last_logits: np.ndarray | None = None
         self._layer0_encode_ids: dict[int, np.ndarray] = {}
@@ -191,8 +190,7 @@ class Engine:
         offsets = np.arange(K.shape[1]) % l
         for i, j in row_blocks(K.shape[1]):
             K_rot[:, i:j] = rope.apply(K[:, i:j], offsets[i:j])
-        for head in range(H):
-            self.store.bulk_append(layer, head, Q[head], K[head], V[head], K_rot[head])
+        self.store.bulk_append(layer, Q, K, V, K_rot)
         del K  # the summaries were its last use
         reprs = self.store.layer_reprs(layer)
         # Chunk 0 selects nothing; with scores on, it records zero candidates.
@@ -408,7 +406,6 @@ class Engine:
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"non-finite logits at decode step {step}")
         self.layout, _ = advance(self.layout, step)
-        self.step_count += 1
         self.counters.steps.append(
             StepCounters(
                 step=step,
@@ -426,7 +423,7 @@ class Engine:
         strictly between the first and the last."""
         cfg = self.config
         H = queries.shape[0]
-        sealed = self.store.sealed_count(layer, 0)
+        sealed = self.store.sealed_count(layer)
         if sealed == 0:
             return np.empty((H, 0), dtype=np.int64), np.empty((H, 0))
         last = sealed - 1

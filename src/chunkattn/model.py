@@ -8,7 +8,6 @@ later be attended at remapped positions.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,12 +232,6 @@ class HostModel:
             yield lw.w_up
             yield lw.w_down
         yield self.w_out
-
-    def weight_checksum(self) -> str:
-        digest = hashlib.sha256()
-        for arr in self._weight_arrays():
-            digest.update(arr.tobytes())
-        return digest.hexdigest()
 
     def project_heads(self, layer: int, x: np.ndarray):
         """Project a (t, d_model) block into per-head (H, t, d_head) Q, K, V."""

@@ -199,6 +199,9 @@ def test_build_passkey_validations():
         build_passkey(2, 1, 10.0, 0)
     with pytest.raises(ValueError):
         build_passkey(8, 8, 10.0, 0)
+    for gap in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="must be finite"):
+            build_passkey(8, 3, gap, 0)
     assert build_passkey(8, 0, 10.0, 0).flagged
     assert build_passkey(8, 7, 10.0, 0).flagged
     assert not build_passkey(8, 3, 10.0, 0).flagged

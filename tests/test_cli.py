@@ -241,6 +241,40 @@ def test_run_descriptor_missing_fields(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["equivalence", "--chunk-size", "0"],
+    ["passkey", "--m", "16", "--k", "0"],
+    ["passkey", "--m", "16", "--trials", "0"],
+    ["scaling", "--n-list", "256", "--k", "0"],
+])
+def test_explicit_zero_is_rejected_not_replaced_by_the_default(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_descriptor_must_be_an_object(tmp_path, capsys):
+    desc = tmp_path / "run.json"
+    desc.write_text("5")
+    assert main(["run", "--descriptor", str(desc), "--out", str(tmp_path / "out")]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_run_descriptor_input_must_be_a_path(tmp_path, capsys):
+    desc = descriptor_setup(tmp_path)
+    data = json.loads(desc.read_text())
+    data["input"] = 0  # would be read as file descriptor 0, stdin
+    desc.write_text(json.dumps(data))
+    assert main(["run", "--descriptor", str(desc), "--out", str(tmp_path / "out")]) == 2
+    assert "token file path" in capsys.readouterr().err
+
+
+def test_passkey_rejects_a_non_finite_gap(tmp_path, capsys):
+    code = main(["passkey", "--m", "16", "--gap", "nan", "--trials", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "gap=nan must be finite" in capsys.readouterr().err
+
+
 def artifact_digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 

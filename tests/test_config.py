@@ -56,21 +56,19 @@ def test_seed_range():
                            pretrain_length=64, seed=2**64)
 
 
-def test_model_config_json_roundtrip(tmp_path):
+def test_model_config_json_roundtrip():
     cfg = ModelConfig.create(n_layers=2, n_heads=2, d_head=4, vocab_size=8, pretrain_length=64, seed=3)
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(cfg.to_dict()))
-    assert ModelConfig.from_json(path) == cfg
+    text = json.dumps(cfg.to_dict())
+    assert ModelConfig.from_dict(json.loads(text)) == cfg
 
 
-def test_model_config_unknown_field_rejected(tmp_path):
+def test_model_config_unknown_field_rejected():
     cfg = ModelConfig.create(n_layers=1, n_heads=1, d_head=4, vocab_size=4, pretrain_length=64)
     data = cfg.to_dict()
     data["extra"] = 1
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(data))
+    text = json.dumps(data)
     with pytest.raises(ValueError, match="unknown fields"):
-        ModelConfig.from_json(path)
+        ModelConfig.from_dict(json.loads(text))
 
 
 def test_model_config_missing_field_rejected():

@@ -332,10 +332,10 @@ def test_recorded_encode_scores_match_per_head_products(tiny_model, policy):
 def test_encode_uses_store_sealing(tiny_model):
     engine = make_engine(tiny_model, l=32, k=4)
     engine.encode(random_tokens(100))
-    assert engine.store.sealed_count(0, 0) == 3
+    assert engine.store.sealed_count(0) == 3
     assert engine.store.recent_len(0) == 4
     engine.generate(28)
-    assert engine.store.sealed_count(0, 0) == 4
+    assert engine.store.sealed_count(0) == 4
     assert engine.store.recent_len(0) == 0
 
 
@@ -470,9 +470,10 @@ def test_sealed_slabs_hold_keys_rotated_by_their_offset(tiny_model, residency, b
     appended = {(layer, head): [] for layer in range(L) for head in range(H)}
     bulk_append, append_token = store.bulk_append, store.append_token
 
-    def recording_bulk(layer, head, Q, K, V, K_rot):
-        appended[layer, head].extend(zip(Q, K, V))
-        return bulk_append(layer, head, Q, K, V, K_rot)
+    def recording_bulk(layer, Q, K, V, K_rot):
+        for head in range(H):
+            appended[layer, head].extend(zip(Q[head], K[head], V[head]))
+        return bulk_append(layer, Q, K, V, K_rot)
 
     def recording_token(layer, q, k, v, k_rot):
         for head in range(H):
@@ -597,7 +598,7 @@ def test_failed_encode_leaves_engine_unusable(tiny_config):
     with pytest.raises(FloatingPointError):
         engine.encode(random_tokens(300))
     # layer 0 filled the store and the trace before layer 1 failed
-    assert engine.store.sealed_count(0, 0) == 300 // 16
+    assert engine.store.sealed_count(0) == 300 // 16
     model.mlp = mlp
     with pytest.raises(RuntimeError, match="encode of 300 tokens raised FloatingPointError"):
         engine.encode(random_tokens(300))
@@ -620,9 +621,9 @@ def test_encode_builds_chunk_reprs_once_per_layer_and_head(tiny_model, monkeypat
     l, n = 16, 9 * 16 + 13
     engine = make_engine(tiny_model, l=l, k=4)
     engine.encode(random_tokens(n))
-    # 9 * 16 rows fit one DENSE_BLOCK_ROWS block, so one batch holds every
-    # complete chunk of one (layer, head)
-    assert batches == [(0, (9, l, d))] * (L * H)
+    # H * 9 * 16 rows fit one DENSE_BLOCK_ROWS block, so one batch holds
+    # every complete chunk of every head of a layer
+    assert batches == [(0, (H, 9, l, d))] * L
     appends = []
     append_token = engine.store.append_token
 
@@ -792,8 +793,10 @@ def test_dense_block_size_leaves_outputs_unchanged(wide_model, policy, monkeypat
 
     # 218 = 31 * 7 + 1 rows, so the one-row tail joins the block before it;
     # the last chunk is partial and decode crosses the seal at 224. Block
-    # 4 * l summarizes the 13 complete chunks in batches of 4, 4, 4 and 1.
+    # 4 * H * l summarizes the 13 complete chunks of all H heads in batches
+    # of 4, 4, 4 and 1.
     l, k, n, steps = 16, 4, 13 * 16 + 10, 20
+    H = wide_model.config.n_heads
 
     def run(block, residency, budget):
         monkeypatch.setattr(model_module, "DENSE_BLOCK_ROWS", block)
@@ -808,5 +811,5 @@ def test_dense_block_size_leaves_outputs_unchanged(wide_model, policy, monkeypat
 
     for residency, budget in [("hot", None), ("offload", None), ("budget", (k + 1) * l)]:
         whole = run(n, residency, budget)
-        for block in (7, 4 * l):
+        for block in (7, 4 * H * l):
             assert run(block, residency, budget) == whole

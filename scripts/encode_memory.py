@@ -3,12 +3,12 @@
 
 Builds the model, engine configuration (l=64, k=8, top-k) and synthetic
 prompt that `chunkattn run` uses when given no options, with offload
-residency. It encodes one prompt of N tokens and prints encode µs per
-token and the process's peak resident set size (`ru_maxrss`) per prompt
-token. Run it once per N: each run is a fresh process, so the peak is
-this encode's.
+residency unless `--residency` names another (hot, offload or budget:N).
+It encodes one prompt of N tokens and prints encode µs per token and the
+process's peak resident set size (`ru_maxrss`) per prompt token. Run it
+once per N: each run is a fresh process, so the peak is this encode's.
 
-Usage: python3 scripts/encode_memory.py --n 65536
+Usage: python3 scripts/encode_memory.py --n 65536 [--residency hot]
 """
 
 import argparse
@@ -25,13 +25,15 @@ def max_rss_mb() -> float:
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--n", type=int, required=True, help="prompt length in tokens")
+    parser.add_argument("--residency", default="offload", help="hot, offload, or budget:N")
     args = parser.parse_args()
+    residency, budget = cli._parse_residency(args.residency)
 
     model_cfg = ModelConfig.create(**cli.DEFAULT_MODEL)
     engine_cfg = cli._load_engine_config(
         argparse.Namespace(engine_config=None, chunk_size=None, k=None, seed=None)
     )
-    engine = Engine(build_model(model_cfg), engine_cfg, residency="offload")
+    engine = Engine(build_model(model_cfg), engine_cfg, residency=residency, budget=budget)
     tokens = cli._synthetic_tokens(args.n, model_cfg.vocab_size, engine_cfg.seed)
     before = max_rss_mb()
     t0 = time.perf_counter()

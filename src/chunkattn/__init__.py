@@ -4,8 +4,9 @@ deterministic host transformer.
 Each attention head picks at most k chunks of the context by dot-product
 similarity between its query state and per-chunk summary vectors, remaps
 the picked chunks onto contiguous in-distribution positions, and attends
-the result plus the recent region. Sealed chunk KV slabs can be offloaded
-to a byte tier with exact load accounting.
+the result plus the recent region. Sealed chunk KV slabs carry a
+residency flag, and every read of an offloaded slab is counted in token
+rows.
 """
 
 from .analysis import (

@@ -179,6 +179,9 @@ def build_passkey(
         raise ValueError(f"target={target} outside [0, {m})")
     if not np.isfinite(gap):
         raise ValueError(f"gap={gap} must be finite")
+    for name, value in (("chunk_size", chunk_size), ("d_head", d_head), ("n_heads", n_heads)):
+        if value < 1:
+            raise ValueError(f"{name}={value} must be >= 1")
     rng = np.random.default_rng(noise_seed)
     shape = (n_heads, m, chunk_size, d_head)
     keys = rng.normal(0.0, 1.0, shape)

@@ -1,12 +1,17 @@
-"""Tiered per-(layer, head) store of sealed KV slabs and chunk summaries.
+"""Per-(layer, head) store of sealed KV slabs and chunk summaries, with
+residency flags and exact load accounting.
 
-Sealed chunks live in a hot tier (numpy arrays) or an offload tier (an
-in-process byte store standing in for host memory). Fetches from the
-offload tier are counted in token rows, so the decode-phase load bound is
-observable rather than asserted. Chunk representations are always hot:
-each layer keeps one contiguous (H, m, d_head) array whose row [h, i] is
-head h's summary of chunk i, written at seal, so a decode step scores
-every head's candidate chunks over one slice of it.
+Every sealed chunk's rotated-K and V rows live in two store-wide arrays,
+each (capacity, L, H, l, d_head) and indexed by chunk id first, so capacity
+that no layer has reached yet is never touched. All layers share the
+capacity; it grows to twice the chunks written, so a prompt's encode leaves
+room for decode's seals. Residency is one flag per (layer, head, chunk): a
+hot slab stands for rows held in fast memory, an offloaded one for rows
+that must be loaded, and `gather` counts every offloaded row it reads, so
+the decode-phase load bound is observable rather than asserted. Chunk
+representations are always hot: row [layer, h, i] of one more array is head
+h's summary of chunk i, written at seal, so a decode step scores every
+head's candidate chunks over one slice of it.
 
 Keys arrive twice: unrotated, and rotated by their offset inside their
 chunk. Slabs and `gather` hold the rotated rows, so a query rotated once per
@@ -14,16 +19,16 @@ slot attends them at any remapped position. Summaries must stay
 position-free, so the recent region also keeps the Q and unrotated K rows
 that sealing summarizes. Each layer's recent region is one (4, H, l, d_head)
 buffer of Q, K, V and rotated-K rows with one length per head; a full buffer
-is summarized in one batched call and its K_rot and V rows copied out once.
+is summarized in one batched call and its K_rot and V rows written once.
 
 The store keeps a running count of hot tokens (hot slab rows plus recent
 rows over all (layer, head) pairs), updated on every residency change, so
 sampling the peak costs O(1) per write or gather; `hot_tokens()` is the
-slow recount. A seal installs the heads' slabs in head order, each while
+slow recount. A seal counts the heads' slabs in head order, each while
 that head's l recent rows still count, and drops them before the next, so
 the peak is sampled where per-head appends would sample it. Budget
-residency keeps each head's hot slabs in a dict in stamp order and evicts
-from its front.
+residency keeps each head's hot chunk ids in a dict, least recently
+gathered first, and evicts from its front.
 
 `bulk_append` and `append_token` write, and `gather` reads, every head of
 a layer at once, so between calls a layer's heads hold equally many sealed
@@ -40,33 +45,8 @@ from .representation import build_chunk_repr
 RESIDENCY_MODES = ("hot", "offload", "budget")
 
 
-class _Slab:
-    """One sealed chunk's K/V rows, resident either as arrays or as bytes.
-
-    Residency changes go through ChunkStore._offload / _promote, which keep
-    the store's hot-token count in step.
-    """
-
-    __slots__ = ("rows", "dim", "k", "v", "k_bytes", "v_bytes", "hot", "stamp")
-
-    def __init__(self, k: np.ndarray, v: np.ndarray, stamp: int):
-        self.rows, self.dim = k.shape
-        self.k, self.v = np.ascontiguousarray(k), np.ascontiguousarray(v)
-        self.k.flags.writeable = self.v.flags.writeable = False
-        self.k_bytes = self.v_bytes = None
-        self.hot = True
-        self.stamp = stamp
-
-    def fetch(self):
-        """Read-only arrays over the byte tier; residency is unchanged."""
-        shape = (self.rows, self.dim)
-        k = np.frombuffer(self.k_bytes, dtype=np.float64).reshape(shape)
-        v = np.frombuffer(self.v_bytes, dtype=np.float64).reshape(shape)
-        return k, v
-
-
 class ChunkStore:
-    """Segmented KV cache with residency tiers and exact load accounting."""
+    """Segmented KV cache with residency flags and exact load accounting."""
 
     def __init__(
         self,
@@ -100,15 +80,20 @@ class ChunkStore:
             budget = None
         self.mode = residency
         self.budget = budget
-        self._slabs = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-        # budget residency only: each head's hot slabs, oldest stamp first
+        # rotated K and V rows of slab [chunk, layer, head]
+        self._K = np.empty((0, n_layers, n_heads, chunk_size, d_head))
+        self._V = np.empty_like(self._K)
+        # whether slab [layer, head, chunk] is hot
+        self._hot = np.zeros((n_layers, n_heads, 0), dtype=bool)
+        self._reprs = np.empty((n_layers, n_heads, 0, d_head))
+        self._sealed = [0] * n_layers
+        # budget residency only: each head's hot chunk ids, least recently
+        # gathered first
         self._lru = [[{} for _ in range(n_heads)] for _ in range(n_layers)]
-        self._reprs = [np.empty((n_heads, 0, d_head)) for _ in range(n_layers)]
         # rows 0..3 of a layer's buffer: Q, K, V and rotated K
         self._recent = [np.empty((4, n_heads, chunk_size, d_head)) for _ in range(n_layers)]
         # per head, because a write installs heads one after another
         self._recent_lens = [[0] * n_heads for _ in range(n_layers)]
-        self._clock = 0
         self._hot_level = 0
         self.tokens_loaded_this_step = 0
         self.tokens_loaded_total = 0
@@ -118,31 +103,15 @@ class ChunkStore:
 
     # -- residency ---------------------------------------------------------
 
-    def _evict_over_budget(self, lru: dict) -> None:
-        """Offload the oldest-stamped of one head's hot slabs `lru` until
-        they fit the budget; every slab holds chunk_size rows."""
+    def _evict_over_budget(self, layer: int, head: int) -> None:
+        """Offload one head's least recently gathered hot slabs until they
+        fit the budget; every slab holds chunk_size rows."""
+        lru = self._lru[layer][head]
         while lru and len(lru) * self.chunk_size > self.budget:
             victim = next(iter(lru))
             del lru[victim]
-            self._offload(victim)
-
-    def _offload(self, slab: _Slab) -> None:
-        """Move a hot slab to the byte tier."""
-        slab.k_bytes = slab.k.tobytes()
-        slab.v_bytes = slab.v.tobytes()
-        slab.k = None
-        slab.v = None
-        slab.hot = False
-        self._hot_level -= slab.rows
-
-    def _promote(self, slab: _Slab, k: np.ndarray, v: np.ndarray) -> None:
-        """Make an offloaded slab hot again with its fetched arrays."""
-        self._hot_level += slab.rows
-        slab.k = k
-        slab.v = v
-        slab.k_bytes = None
-        slab.v_bytes = None
-        slab.hot = True
+            self._hot[layer, head, victim] = False
+            self._hot_level -= self.chunk_size
 
     def _note_hot_level(self) -> None:
         if self._hot_level > self.peak_hot_tokens:
@@ -150,34 +119,51 @@ class ChunkStore:
 
     # -- writes ------------------------------------------------------------
 
-    def _install_sealed(self, layer, head, reprs, K, V) -> None:
-        """Store the next chunks' summaries `reprs` (chunks, d_head) and
-        their (chunks, l, d_head) K/V rows as slabs, one after another."""
-        slabs, lru = self._slabs[layer][head], self._lru[layer][head]
-        self._write_reprs(layer, head, len(slabs), reprs)
-        for k, v in zip(K, V):
-            self._clock += 1
-            slab = _Slab(k, v, stamp=self._clock)
-            slabs.append(slab)
-            self._hot_level += slab.rows
-            if self.mode == "offload":
-                self._offload(slab)
-            elif self.mode == "budget":
-                lru[slab] = None
-                self._evict_over_budget(lru)
-            self._note_hot_level()
+    def _seal(self, layer: int, reprs, K, V) -> range:
+        """Write the next chunks of every head of `layer`: (H, chunks,
+        d_head) summaries and (H, chunks, l, d_head) rotated-K and V rows.
+        Returns their ids; `_install` then counts them head by head."""
+        first = self._sealed[layer]
+        end = first + K.shape[1]
+        if end > len(self._K):
+            self._grow(2 * end)
+        self._K[first:end, layer] = K.swapaxes(0, 1)
+        self._V[first:end, layer] = V.swapaxes(0, 1)
+        self._reprs[layer, :, first:end] = reprs
+        self._sealed[layer] = end
+        return range(first, end)
 
-    def _write_reprs(self, layer: int, head: int, first: int, reprs: np.ndarray) -> None:
-        """Store summaries as rows [head, first:] of the layer's array,
-        at least doubling its capacity when they do not fit."""
-        mat = self._reprs[layer]
-        cap = mat.shape[1]
-        end = first + len(reprs)
-        if end > cap:
-            grown = np.empty((self.n_heads, max(8, 2 * cap, end), self.d_head))
-            grown[:, :cap] = mat
-            self._reprs[layer] = mat = grown
-        mat[head, first:end] = reprs
+    def _grow(self, capacity: int) -> None:
+        """Reallocate every per-chunk array with room for `capacity` chunks."""
+        cap = len(self._K)
+
+        def grown(old, axis, alloc=np.empty):
+            new = alloc(old.shape[:axis] + (capacity,) + old.shape[axis + 1 :], dtype=old.dtype)
+            new[(slice(None),) * axis + (slice(cap),)] = old
+            return new
+
+        self._K, self._V = grown(self._K, 0), grown(self._V, 0)
+        self._hot = grown(self._hot, 2, np.zeros)
+        self._reprs = grown(self._reprs, 2)
+
+    def _install(self, layer: int, head: int, ids: range) -> None:
+        """Count one head's newly sealed chunks `ids` under the residency,
+        sampling the peak as if they arrived one at a time: under budget
+        residency each is hot until the eviction that follows it."""
+        l, hot = self.chunk_size, self._hot[layer, head]
+        if self.mode == "budget":
+            lru = self._lru[layer][head]
+            for cid in ids:
+                hot[cid] = True
+                lru[cid] = None
+                self._hot_level += l
+                self._evict_over_budget(layer, head)
+                self._note_hot_level()
+            return
+        if self.mode == "hot":
+            hot[ids.start : ids.stop] = True
+            self._hot_level += l * len(ids)
+        self._note_hot_level()
 
     def append_token(self, layer: int, q, k, v, k_rot):
         """Add one token's unrotated (H, d_head) states and its keys rotated
@@ -197,13 +183,13 @@ class ChunkStore:
             self._note_hot_level()
             return None
         chunk_id = self.sealed_count(layer)
-        # one chunk per head: (H, 1, l, d_head) Q, K, V, then V and K_rot copied
+        # one chunk per head: (H, 1, l, d_head) Q, K, V, K_rot
         reprs = build_chunk_repr(chunk_id, *buf[:3, :, None])
-        V, K_rot = buf[2:, :, None].copy()
+        ids = self._seal(layer, reprs, buf[3, :, None], buf[2, :, None])
         for head in range(H):
             lens[head] = l
             self._hot_level += 1
-            self._install_sealed(layer, head, reprs[head], K_rot[head], V[head])
+            self._install(layer, head, ids)
             lens[head] = 0
             self._hot_level -= l
         return chunk_id
@@ -227,29 +213,29 @@ class ChunkStore:
         n = Q.shape[1]
         n_full = (n // l) * l
         first = self.sealed_count(layer)
-        sealed = list(range(first, first + n // l))
         blocks = [a[:, :n_full].reshape(H, -1, l, a.shape[2]) for a in (Q, K, V, K_rot)]
         per = max(1, model.DENSE_BLOCK_ROWS // (H * l))
         reprs = [
             build_chunk_repr(first + c, *(b[:, c : c + per] for b in blocks[:3]))
-            for c in range(0, len(sealed), per)
+            for c in range(0, n // l, per)
         ]
         reprs = np.concatenate(reprs, axis=1) if reprs else np.empty((H, 0, self.d_head))
+        ids = self._seal(layer, reprs, blocks[3], blocks[2])
         tail = n - n_full
         self._recent[layer][:, :, :tail] = [a[:, n_full:] for a in (Q, K, V, K_rot)]
         lens = self._recent_lens[layer]
         for head in range(H):
-            self._install_sealed(layer, head, reprs[head], blocks[3][head], blocks[2][head])
+            self._install(layer, head, ids)
             lens[head] = tail
             self._hot_level += tail
             self._note_hot_level()
-        return sealed
+        return list(ids)
 
     # -- reads -------------------------------------------------------------
 
     def sealed_count(self, layer: int) -> int:
         """The number of sealed chunks every head of `layer` holds."""
-        return len(self._slabs[layer][0])
+        return self._sealed[layer]
 
     def recent_len(self, layer: int) -> int:
         """The number of recent rows every head of `layer` holds."""
@@ -257,79 +243,67 @@ class ChunkStore:
 
     def layer_reprs(self, layer: int) -> np.ndarray:
         """Read-only (H, sealed, d_head) view of every head's summaries."""
-        view = self._reprs[layer][:, : self.sealed_count(layer)]
+        view = self._reprs[layer, :, : self.sealed_count(layer)]
         view.flags.writeable = False
         return view
 
     def gather(self, layer: int, chunk_ids):
-        """Rotated K and V rows of each head's selected sealed chunks, then
+        """Rotated K and V slabs of each head's selected sealed chunks, and
         its recent rows.
 
         `chunk_ids` is an (H, width) integer matrix whose row h lists head
-        h's sealed chunks in strictly ascending order. Returns (K, V), each
-        (H, width * l + recent, d_head). The whole matrix is checked before
-        any state changes, so a rejected call leaves the store as it was.
-        Heads are served one after another: a head's slabs are stamped in id
-        order, offloaded ones are fetched and counted, and under budget
-        residency promoted, then that head's slabs are evicted down to the
-        budget and the hot peak is sampled. The hot set is otherwise left
-        unchanged.
+        h's sealed chunks in strictly ascending order. Returns (K, V,
+        K_recent, V_recent): K and V are new (H, width, l, d_head) arrays,
+        and K_recent and V_recent read-only (H, recent, d_head) views of
+        the recent rows, valid until the layer's next write. The whole
+        matrix is checked before any state changes, so a rejected call
+        leaves the store as it was; the first bad id in row order names
+        the error. Every offloaded slab read is counted. Under budget
+        residency heads are then served one after another: a head's slabs
+        move to the back of its LRU in id order and offloaded ones are
+        promoted, then that head's slabs are evicted down to the budget and
+        the hot peak is sampled. The hot set is otherwise left unchanged.
         """
         ids = np.asarray(chunk_ids)
-        H, l, d = self.n_heads, self.chunk_size, self.d_head
+        H, l = self.n_heads, self.chunk_size
         if ids.ndim != 2 or ids.shape[0] != H or (ids.size and ids.dtype.kind not in "iu"):
             raise ValueError(
                 f"chunk ids must be an ({H}, width) integer matrix, got {ids.dtype} {ids.shape}"
             )
-        recent = self.recent_len(layer)
-        id_rows = ids.tolist()
-        for head, head_ids in enumerate(id_rows):
-            sealed, prev = len(self._slabs[layer][head]), -1
-            for cid in head_ids:
-                if not 0 <= cid < sealed:
-                    raise KeyError(f"unknown chunk id {cid} (sealed: {sealed})")
-                if cid <= prev:
-                    raise ValueError(f"chunk ids must be strictly ascending, got {tuple(head_ids)}")
-                prev = cid
-        width = ids.shape[1]
-        rows = width * l + recent
-        K = np.empty((H, rows, d))
-        V = np.empty((H, rows, d))
-        # Byte views of K and V, so an offloaded slab's bytes copy straight
-        # in; a view of zero rows cannot be cast, and no slab is read then.
-        if rows:
-            k_bytes, v_bytes = memoryview(K).cast("B"), memoryview(V).cast("B")
-        slab_bytes = l * d * K.itemsize
-        budget = self.mode == "budget"
-        for head, head_ids in enumerate(id_rows):
-            slabs, lru = self._slabs[layer][head], self._lru[layer][head]
-            for j, cid in enumerate(head_ids):
-                slab = slabs[cid]
-                self._clock += 1
-                slab.stamp = self._clock
-                if not slab.hot:
-                    self.tokens_loaded_this_step += slab.rows
-                    self.tokens_loaded_total += slab.rows
-                    if budget:
-                        self._promote(slab, *slab.fetch())
-                if budget:
-                    lru[slab] = lru.pop(slab, None)
-                if slab.hot:
-                    K[head, j * l : (j + 1) * l] = slab.k
-                    V[head, j * l : (j + 1) * l] = slab.v
-                else:
-                    at = (head * rows + j * l) * d * K.itemsize
-                    k_bytes[at : at + slab_bytes] = slab.k_bytes
-                    v_bytes[at : at + slab_bytes] = slab.v_bytes
-            if budget:
+        sealed = self._sealed[layer]
+        unknown = (ids < 0) | (ids >= sealed)
+        bad = unknown.copy()
+        bad[:, 1:] |= ids[:, 1:] <= ids[:, :-1]
+        if bad.any():
+            head, j = np.unravel_index(np.argmax(bad), bad.shape)
+            if unknown[head, j]:
+                raise KeyError(f"unknown chunk id {ids[head, j]} (sealed: {sealed})")
+            raise ValueError(
+                f"chunk ids must be strictly ascending, got {tuple(ids[head].tolist())}"
+            )
+        ids = ids.astype(np.intp, copy=False)
+        heads = np.arange(H)[:, None]
+        cold = ~self._hot[layer][heads, ids]
+        loaded = int(np.count_nonzero(cold)) * l
+        self.tokens_loaded_this_step += loaded
+        self.tokens_loaded_total += loaded
+        if self.mode == "budget":
+            for head, (row, row_cold) in enumerate(zip(ids.tolist(), cold.tolist())):
+                lru, hot = self._lru[layer][head], self._hot[layer, head]
+                for cid, was_cold in zip(row, row_cold):
+                    if was_cold:
+                        hot[cid] = True
+                        self._hot_level += l
+                    lru[cid] = lru.pop(cid, None)
                 # evict once per head so the working set cannot thrash itself
-                self._evict_over_budget(lru)
-            self._note_hot_level()
-        K[:, width * l :] = self._recent[layer][3, :, :recent]
-        V[:, width * l :] = self._recent[layer][2, :, :recent]
-        self.tokens_gathered_this_step += H * rows
-        self.tokens_gathered_total += H * rows
-        return K, V
+                self._evict_over_budget(layer, head)
+                self._note_hot_level()
+        recent = self._recent[layer][:, :, : self.recent_len(layer)]
+        recent.flags.writeable = False
+        rows = H * (ids.shape[1] * l + recent.shape[2])
+        self.tokens_gathered_this_step += rows
+        self.tokens_gathered_total += rows
+        return self._K[ids, layer, heads], self._V[ids, layer, heads], recent[3], recent[2]
 
     # -- accounting --------------------------------------------------------
 
@@ -338,16 +312,13 @@ class ChunkStore:
         self.tokens_gathered_this_step = 0
 
     def hot_tokens(self) -> int:
-        """Recount hot tokens slab by slab; O(L·H·m), for checks only."""
-        level = 0
-        for layer in range(self.n_layers):
-            for head in range(self.n_heads):
-                level += sum(s.rows for s in self._slabs[layer][head] if s.hot)
-            level += sum(self._recent_lens[layer])
-        return level
+        """Recount hot tokens from the flags; O(L·H·capacity), for checks only."""
+        recent = sum(sum(lens) for lens in self._recent_lens)
+        return int(np.count_nonzero(self._hot)) * self.chunk_size + recent
 
     def residency_flags(self, layer: int, head: int) -> list:
-        return ["hot" if s.hot else "offloaded" for s in self._slabs[layer][head]]
+        flags = self._hot[layer, head, : self._sealed[layer]].tolist()
+        return ["hot" if hot else "offloaded" for hot in flags]
 
     def counters(self) -> dict:
         return {

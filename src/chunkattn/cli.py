@@ -190,10 +190,14 @@ def cmd_passkey(args) -> int:
 def cmd_ablate(args) -> int:
     out = _out_dir(args)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
+    if not policies:
+        raise ValueError("--policies names no policy")
     for p in policies:
         if p not in SELECTION_POLICIES:
             print(f"unknown policy tag {p!r}", file=sys.stderr)
             return 2
+    k_sweep = _sweep_values(args.k_sweep, "--k-sweep")
+    l_sweep = _sweep_values(args.l_sweep, "--l-sweep")
     m = args.m
     k = _given(args.k, 6)
     trials = _given(args.trials, 200)
@@ -232,10 +236,10 @@ def cmd_ablate(args) -> int:
         rows.append(row)
 
     sweeps = {}
-    if args.k_sweep:
-        sweeps["k"] = _load_sweep(args, "k", [int(v) for v in args.k_sweep.split(",")])
-    if args.l_sweep:
-        sweeps["chunk_size"] = _load_sweep(args, "chunk_size", [int(v) for v in args.l_sweep.split(",")])
+    if k_sweep is not None:
+        sweeps["k"] = _load_sweep(args, "k", k_sweep)
+    if l_sweep is not None:
+        sweeps["chunk_size"] = _load_sweep(args, "chunk_size", l_sweep)
 
     table = {"m": m, "k": k, "gap": args.gap, "trials": trials, "rows": rows, "sweeps": sweeps}
     _write_json(out / "metrics.json", table)
@@ -247,6 +251,15 @@ def cmd_ablate(args) -> int:
             f"gini={row['gini']:.3f}{extra}"
         )
     return 0
+
+
+def _sweep_values(text, option: str):
+    """The comma list `text` as integers, or None when `option` was not given."""
+    if text is None:
+        return None
+    if not text.strip():
+        raise ValueError(f"{option} names no value")
+    return [int(v) for v in text.split(",")]
 
 
 def _load_sweep(args, param: str, values) -> list:
@@ -352,6 +365,9 @@ def cmd_run(args) -> int:
     missing = required - set(desc)
     if missing:
         raise ValueError(f"descriptor missing fields {sorted(missing)}")
+    steps = desc["steps"]
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"descriptor steps must be a non-negative integer, got {steps!r}")
     model_cfg = ModelConfig.from_dict(desc["model"], where="descriptor.model")
     engine_cfg = EngineConfig.from_dict(desc["engine"], where="descriptor.engine")
     validate_pairing(model_cfg, engine_cfg)
@@ -364,7 +380,7 @@ def cmd_run(args) -> int:
     model = build_model(model_cfg)
     engine = Engine(model, engine_cfg, residency=residency, budget=budget)
     engine.encode(tokens)
-    generated = engine.generate(int(desc["steps"]))
+    generated = engine.generate(steps)
 
     engine.trace.meta["m"] = engine.layout.m
     _write_json(out / "tokens.json", list(generated.tokens))

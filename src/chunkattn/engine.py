@@ -3,8 +3,8 @@
 Encoding summarizes every complete chunk up front, then lets each token of
 each head attend its selected chunks (laid out from position 0) plus its own
 chunk's causal prefix. Generation repeats the same dance one token at a
-time, gathering selected slabs through the tiered store so loads are
-counted. The full-attention oracle lives alongside for equivalence checks.
+time, gathering selected slabs through the store so loads are counted.
+The full-attention oracle lives alongside for equivalence checks.
 """
 
 from __future__ import annotations
@@ -355,10 +355,10 @@ class Engine:
     def _decode_token(self, token: int) -> np.ndarray:
         """One greedy step. Each layer selects, remaps, gathers, rotates and
         attends for all of its heads at once: every head reads k' sealed
-        chunks plus the same recent region, so their rows stack into
-        (H, rows, d_head) arrays with the query at one shared position."""
+        chunks plus the same recent region, so their slabs stack into
+        (H, k', l, d_head) arrays with the query at one shared position."""
         mc = self.model.config
-        H, d, l = mc.n_heads, mc.d_head, self.config.chunk_size
+        l = self.config.chunk_size
         rope = self.model.rope
         store = self.store
         step = self.layout.n
@@ -377,26 +377,24 @@ class Engine:
             self._record_decode(step, layer, ids, scores)
             recent = store.recent_len(layer)
             position = remap(ids, self.layout, recent, mc.pretrain_length)
-            k_rows, v_rows = store.gather(layer, ids)
-            if k_rows.shape[1] != position:
+            k_sel, v_sel, k_recent, v_recent = store.gather(layer, ids)
+            if k_sel.shape[1] * l + k_recent.shape[1] != position:
                 raise AssertionError("gathered rows disagree with the position map")
             # Keys are stored at R(r), r their offset in the chunk. The query
             # sits at `position` and slot s at s*l + r, so one rotary call
             # takes the query to position - s*l for s = 0..width (slot
             # `width` holds the recent rows and this token) and this token's
             # key to its own offset, `recent`.
-            width, span = ids.shape[1], position - recent
+            width = ids.shape[1]
             at = position - l * np.arange(width + 2)
             at[-1] = recent
             rot = rope.apply(np.concatenate([np.repeat(Q, width + 1, axis=1), K], axis=1), at)
             k_self = rot[:, -1:]
-            sel = (rot[:, None, :width], k_rows[:, None, :span].reshape(H, 1, width, l, d),
-                   v_rows[:, None, :span].reshape(H, 1, width, l, d))
             attn = attend(
                 rot[:, width : width + 1],
-                np.concatenate([k_rows[:, span:], k_self], axis=1),
-                np.concatenate([v_rows[:, span:], V], axis=1),
-                sel=sel,
+                np.concatenate([k_recent, k_self], axis=1),
+                np.concatenate([v_recent, V], axis=1),
+                sel=(rot[:, None, :width], k_sel[:, None], v_sel[:, None]),
             )
             max_pos = max(max_pos, position)
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo

@@ -202,6 +202,10 @@ def test_build_passkey_validations():
     for gap in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="must be finite"):
             build_passkey(8, 3, gap, 0)
+    for field in ("chunk_size", "d_head", "n_heads"):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"{field}={value} must be >= 1"):
+                build_passkey(8, 3, 10.0, 0, **{field: value})
     assert build_passkey(8, 0, 10.0, 0).flagged
     assert build_passkey(8, 7, 10.0, 0).flagged
     assert not build_passkey(8, 3, 10.0, 0).flagged

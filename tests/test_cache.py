@@ -35,10 +35,6 @@ def test_append_seals_on_chunk_boundary():
     assert len(store.layer_reprs(0)[0]) == 1
 
 
-def _slab_rows(slab):
-    return (slab.k, slab.v) if slab.hot else slab.fetch()
-
-
 # bulk.peak_hot_tokens of check_bulk_append_matches_streaming, as measured
 # when bulk_append took one head per call: the layer-wide write installs
 # heads in the same order, so it samples the same peaks
@@ -74,12 +70,11 @@ def check_bulk_append_matches_streaming(l, residency):
     np.testing.assert_array_equal(bulk.layer_reprs(0), stream.layer_reprs(0))
     for head in range(H):
         np.testing.assert_array_equal(per_head.layer_reprs(head)[0], stream.layer_reprs(0)[head])
-        assert len(bulk._slabs[0][head]) == len(stream._slabs[0][head]) == chunks
         flags = bulk.residency_flags(0, head)
         assert flags == stream.residency_flags(0, head) == per_head.residency_flags(head, 0)
-        for a, b in zip(bulk._slabs[0][head], stream._slabs[0][head]):
-            for x, y in zip(_slab_rows(a), _slab_rows(b)):
-                np.testing.assert_array_equal(x, y)
+    assert bulk.sealed_count(0) == stream.sealed_count(0) == chunks
+    np.testing.assert_array_equal(bulk._K[:chunks], stream._K[:chunks])
+    np.testing.assert_array_equal(bulk._V[:chunks], stream._V[:chunks])
     np.testing.assert_array_equal(
         bulk._recent[0][:, :, : l - 1], stream._recent[0][:, :, : l - 1]
     )
@@ -98,14 +93,16 @@ def test_gather_row_counts_and_order():
     rng = np.random.default_rng(2)
     for _ in range(32):
         store.append_token(0, *rng.normal(size=(4, 1, 4)))
-    K, V = store.gather(0, [[0, 6, 7, 9]])
-    assert K.shape == V.shape == (1, 4 * 256 + 32, 4)
-    # ascending order by original chunk, recent rows last
+    K, V, K_recent, V_recent = store.gather(0, [[0, 6, 7, 9]])
+    assert K.shape == V.shape == (1, 4, 256, 4)
+    assert K_recent.shape == V_recent.shape == (1, 32, 4)
+    assert store.tokens_gathered_total == 4 * 256 + 32
+    # ascending order by original chunk, recent rows apart
     for j, cid in enumerate([0, 6, 7, 9]):
-        np.testing.assert_array_equal(K[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].k)
-        np.testing.assert_array_equal(V[0, j * 256 : (j + 1) * 256], store._slabs[0][0][cid].v)
-    np.testing.assert_array_equal(K[0, 4 * 256 :], store._recent[0][3, 0, :32])
-    np.testing.assert_array_equal(V[0, 4 * 256 :], store._recent[0][2, 0, :32])
+        np.testing.assert_array_equal(K[0, j], store._K[cid, 0, 0])
+        np.testing.assert_array_equal(V[0, j], store._V[cid, 0, 0])
+    np.testing.assert_array_equal(K_recent[0], store._recent[0][3, 0, :32])
+    np.testing.assert_array_equal(V_recent[0], store._recent[0][2, 0, :32])
 
 
 def test_gather_rejects_unknown_and_unordered():
@@ -119,42 +116,57 @@ def test_gather_rejects_unknown_and_unordered():
         store.gather(0, [0, 1])
 
 
+def store_state(store):
+    """Everything a gather may change on layer 0 of a two-head store."""
+    flags = [store.residency_flags(0, head) for head in range(2)]
+    lru = [list(store._lru[0][head]) for head in range(2)]
+    return store.counters(), flags, lru, store._hot_level, store.hot_tokens()
+
+
 def test_rejected_gather_leaves_the_store_unchanged():
     # head 0's ids are valid and cold; head 1 rejects its last id, after its
     # valid first one
     store = make_store(l=4, heads=2, residency="budget", budget=8)
     fill_chunks(store, 4)
-
-    def state():
-        flags = [store.residency_flags(0, head) for head in range(2)]
-        return store.counters(), flags, store._clock, store._hot_level, store.hot_tokens()
-
-    before = state()
+    before = store_state(store)
     with pytest.raises(KeyError, match="unknown chunk id 9"):
         store.gather(0, [[0, 1], [1, 9]])
-    assert state() == before
+    assert store_state(store) == before
     with pytest.raises(ValueError, match="ascending"):
         store.gather(0, [[0, 1], [2, 2]])
     with pytest.raises(ValueError, match="integer"):
         store.gather(0, [[0.0, 1.0], [1.0, 2.0]])
-    assert state() == before
+    assert store_state(store) == before
+
+
+def test_gather_reports_the_first_bad_id_in_row_order():
+    # each matrix holds one unordered row and one unknown id; the error
+    # names whichever comes first in row order
+    store = make_store(l=4, heads=2, residency="budget", budget=8)
+    fill_chunks(store, 4)
+    before = store_state(store)
+    with pytest.raises(ValueError, match="ascending"):
+        store.gather(0, [[2, 1], [0, 9]])
+    assert store_state(store) == before
+    with pytest.raises(KeyError, match="unknown chunk id 9"):
+        store.gather(0, [[0, 9], [2, 1]])
+    assert store_state(store) == before
 
 
 def test_gather_stacks_heads():
-    store = make_store(l=4, heads=2)
+    store = make_store(l=4, heads=2, residency="budget", budget=12)
     fill_chunks(store, 3)
-    K, V = store.gather(0, [[0, 2], [1, 2]])
-    assert K.shape == V.shape == (2, 8, 4)
+    K, V, K_recent, V_recent = store.gather(0, [[0, 2], [1, 2]])
+    assert K.shape == V.shape == (2, 2, 4, 4)
     for head, ids in enumerate([[0, 2], [1, 2]]):
-        slabs = store._slabs[0][head]
-        np.testing.assert_array_equal(K[head], np.concatenate([slabs[c].k for c in ids]))
-        np.testing.assert_array_equal(V[head], np.concatenate([slabs[c].v for c in ids]))
-    # head 0 is stamped before head 1, each in id order
-    stamps = [[s.stamp for s in store._slabs[0][head]] for head in range(2)]
-    assert stamps[0][0] < stamps[0][2] < stamps[1][1] < stamps[1][2]
+        np.testing.assert_array_equal(K[head], store._K[ids, 0, head])
+        np.testing.assert_array_equal(V[head], store._V[ids, 0, head])
+    # each head's gathered slabs move to the back of its LRU in id order
+    assert [list(store._lru[0][head]) for head in range(2)] == [[1, 0, 2], [0, 1, 2]]
     # no chunk and no recent row: empty blocks, not an error
-    K, V = store.gather(0, np.zeros((2, 0), dtype=np.int64))
-    assert K.shape == V.shape == (2, 0, 4)
+    K, V, K_recent, V_recent = store.gather(0, np.zeros((2, 0), dtype=np.int64))
+    assert K.shape == V.shape == (2, 0, 4, 4)
+    assert K_recent.shape == V_recent.shape == (2, 0, 4)
 
 
 def test_all_hot_loads_nothing():
@@ -224,19 +236,24 @@ def test_budget_evicts_least_recently_gathered():
 def test_sealed_slabs_are_immutable_across_gathers():
     store = make_store()
     fill_chunks(store, 3)
+    store.append_token(0, *np.random.default_rng(4).normal(size=(4, 1, 4)))
 
     def checksum():
         digest = hashlib.sha256()
-        for slab in store._slabs[0][0]:
-            digest.update(slab.k.tobytes())
-            digest.update(slab.v.tobytes())
+        for rows in (store._K[:3], store._V[:3], store._recent[0]):
+            digest.update(rows.tobytes())
         return digest.hexdigest()
 
     before = checksum()
-    K, V = store.gather(0, [[0, 1, 2]])
-    K += 99.0  # mutating the gathered copy must not touch the slabs
-    with pytest.raises(ValueError):
-        store._slabs[0][0][0].k[0, 0] = 99.0
+    K, V, K_recent, V_recent = store.gather(0, [[0, 1, 2]])
+    # mutating the gathered copies must not touch the slabs
+    K += 99.0
+    V += 99.0
+    # the recent rows are views, and read-only
+    for rows in (K_recent, V_recent):
+        assert rows.shape == (1, 1, 4)
+        with pytest.raises(ValueError):
+            rows[0, 0, 0] = 99.0
     assert checksum() == before
 
 

@@ -275,6 +275,32 @@ def test_passkey_rejects_a_non_finite_gap(tmp_path, capsys):
     assert "gap=nan must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", [None, "5", 5.7, -1, True])
+def test_run_descriptor_steps_must_be_a_non_negative_integer(tmp_path, capsys, steps):
+    desc = descriptor_setup(tmp_path)
+    data = json.loads(desc.read_text())
+    data["steps"] = steps
+    desc.write_text(json.dumps(data))
+    assert main(["run", "--descriptor", str(desc), "--out", str(tmp_path / "out")]) == 2
+    assert "steps must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,field", [("--chunk-size", "chunk_size"), ("--heads", "n_heads")])
+def test_passkey_rejects_an_empty_instance_shape(tmp_path, capsys, option, field):
+    code = main(["passkey", "--m", "16", option, "0", "--trials", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{field}=0 must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", ["--policies", "--k-sweep", "--l-sweep"])
+def test_ablate_rejects_an_empty_list(tmp_path, capsys, option):
+    code = main(["ablate", option, "", "--trials", "2", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{option} names no" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 def artifact_digests(out, names):
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
 

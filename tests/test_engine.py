@@ -486,8 +486,9 @@ def test_sealed_slabs_hold_keys_rotated_by_their_offset(tiny_model, residency, b
     m = (n + steps) // l
     for (layer, head), rows in appended.items():
         Q, K, V = (np.array(a)[: m * l].reshape(m, l, -1) for a in zip(*rows))
-        for cid, slab in enumerate(store._slabs[layer][head]):
-            k_slab, v_slab = (slab.k, slab.v) if slab.hot else slab.fetch()
+        assert store.sealed_count(layer) == m
+        for cid in range(m):
+            k_slab, v_slab = store._K[cid, layer, head], store._V[cid, layer, head]
             np.testing.assert_array_equal(k_slab, tiny_model.rope.apply(K[cid], np.arange(l)))
             np.testing.assert_array_equal(v_slab, V[cid])
         # summaries stay position-free: built from the unrotated rows
@@ -546,7 +547,7 @@ def test_decode_selects_remaps_and_gathers_once_per_layer(tiny_model, policy, mo
 
     def gather_recording_shape(*args, **kwargs):
         rows = gather(*args, **kwargs)
-        shapes.append(rows[0].shape)
+        shapes.append(tuple(a.shape for a in rows))
         return rows
 
     engine.store.gather = gather_recording_shape
@@ -555,7 +556,8 @@ def test_decode_selects_remaps_and_gathers_once_per_layer(tiny_model, policy, mo
         shapes.clear()
         engine.generate(1)
         assert calls == {"select": L, "remap": L, "gather": L}
-        assert shapes == [(H, k * l + step % l, tiny_model.config.d_head)] * L
+        d = tiny_model.config.d_head
+        assert shapes == [((H, k, l, d),) * 2 + ((H, step % l, d),) * 2] * L
 
 
 def test_failed_decode_step_leaves_engine_unusable(tiny_config):
@@ -743,13 +745,14 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
 
     engine._encode_layer = counting
     engine.encode(random_tokens(n))
-    trace, slabs = engine.trace, engine.store._slabs
+    trace, store = engine.trace, engine.store
     sels = iter(calls)
     distinct_blocks = set()
     for layer in range(L):
         per_slot = distinct = 0
-        slab_k = [np.stack([slab.k for slab in slabs[layer][h]]) for h in range(H)]
-        slab_v = [np.stack([slab.v for slab in slabs[layer][h]]) for h in range(H)]
+        sealed = store.sealed_count(layer)
+        slab_k = store._K[:sealed, layer].swapaxes(0, 1)
+        slab_v = store._V[:sealed, layer].swapaxes(0, 1)
         for start in range(0, n, l):
             rows = (trace.layer == layer) & (trace.step >= start) & (trace.step < start + l)
             l_c, n_sel = int(rows.sum()) // H, int(trace.width[rows][0])

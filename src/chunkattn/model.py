@@ -23,9 +23,15 @@ ROPE_BASE = 10000.0
 # block's whatever the prompt length. At least 2: see `row_blocks`.
 DENSE_BLOCK_ROWS = 2048
 
+# Query rows per page of `attend_paged`: the reads of one slab fill
+# ceil(reads / PAGE_ROWS) pages.
+PAGE_ROWS = 16
+
 
 def rms_norm(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
-    return x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
+    # The mean as np.mean computes it (a sum, then a division), without
+    # np.mean's per-call overhead: decode normalises single rows.
+    return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -55,7 +61,7 @@ def attend(
     q_sel (..., t, S, d) holds each query as rotated for its slot and
     k_sel, v_sel (..., t, S, l, d) the slot rows. Both blocks share one
     softmax, normalised before the V products, so S = 0 gives exactly
-    the result without `sel`.
+    the result without `sel`. Decode passes this form.
 
     `sel = (q_sel, k_distinct, v_distinct, slot_of)` is the same sum with
     the slot rows stored once per distinct chunk: k_distinct, v_distinct
@@ -63,12 +69,11 @@ def attend(
     query reads each chunk at most once. Every distinct chunk is scored
     against all t queries in one batched product and the weights are
     scattered into (..., t, U*l) for one V product, so no row is copied
-    per query.
+    per query. Encode passes this form for large blocks; `attend_paged`
+    is the form for small ones.
     """
     scale = np.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) / scale
-    if mask is not None:
-        scores = scores + mask
+    scores = _scores(q, k, mask, scale)
     if sel is None:
         return softmax(scores) @ v
     q_sel, k_sel, v_sel = sel[:3]
@@ -81,18 +86,85 @@ def attend(
     else:
         s_sel = q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)
     s_sel = (s_sel / scale).reshape(scores.shape[:-1] + (-1,))
+    w, w_sel = _joint_softmax(scores, s_sel)
+    out = w @ v
+    if len(sel) == 4:
+        u, l = v_sel.shape[-3:-1]
+        w_blk = np.zeros(lead + (t, u, l))
+        w_blk[at_w] = w_sel.reshape(sel[3].shape + (l,))
+        return out + w_blk.reshape(lead + (t, u * l)) @ v_sel.reshape(lead + (u * l, d))
+    rows = v_sel.reshape(w_sel.shape + v_sel.shape[-1:])
+    return out + (w_sel[..., None, :] @ rows)[..., 0, :]
+
+
+def attend_paged(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, pages) -> np.ndarray:
+    """`attend` with each query's slot rows read through pages.
+
+    q (..., t, d) attends its own rows k, v (..., n, d) under `mask`, as
+    in `attend`, plus S slots of l rows each. `pages = (q_pages, k_pages,
+    v_pages, read_at)`: k_pages, v_pages (P, l, d) hold one slab per page
+    and q_pages (P, R, d) up to R queries that read it, each rotated for
+    its slot; read_at (..., t, S) is the flat row of (P, R) holding slot
+    s of query i (see `page_table`). Rows no slot reads are free and may
+    hold anything. Every page is scored against its slab in one batched
+    product, one softmax per query spans its own rows and its S*l slot
+    rows, and one batched product weighs each page's V; flat-index takes
+    put scores and outputs back in query order. So a slab read by several
+    queries is copied once per page, not once per query.
+    """
+    q_pages, k_pages, v_pages, read_at = pages
+    scale = np.sqrt(q.shape[-1])
+    scores = _scores(q, k, mask, scale)
+    l, d = k_pages.shape[-2:]
+    s_pages = q_pages @ k_pages.swapaxes(-1, -2)
+    s_sel = s_pages.reshape(-1, l).take(read_at, axis=0) / scale
+    w, w_sel = _joint_softmax(scores, s_sel.reshape(scores.shape[:-1] + (-1,)))
+    # The weights overwrite every row a slot reads; the other rows' outputs
+    # are never taken.
+    w_pages = s_pages
+    w_pages.reshape(-1, l)[read_at] = w_sel.reshape(read_at.shape + (l,))
+    out_pages = (w_pages @ v_pages).reshape(-1, d)
+    return w @ v + out_pages.take(read_at, axis=0).sum(-2)
+
+
+def page_table(slabs: np.ndarray, rows: int = PAGE_ROWS):
+    """Pages for `attend_paged` of reads of the slabs `slabs` (..., t, S).
+
+    The reads, in row-major order, are sorted by slab with a stable sort
+    and each slab's run is cut into pages of `rows` rows, the last one
+    partly filled. So every page reads one slab, and a slab read more than
+    `rows` times spans several pages. Returns page_slab (P,), the slab
+    each page reads, and read_at (..., t, S), the flat row of the (P,
+    rows) pages that holds each read.
+    """
+    flat = slabs.ravel()
+    # numpy's stable sort of 16-bit keys is a radix sort, several times
+    # faster than its sort of int64 keys
+    narrow = flat.size and flat.min() >= 0 and flat.max() < 2**16
+    order = np.argsort(flat.astype(np.uint16) if narrow else flat, kind="stable")
+    ranked = flat[order]
+    starts = np.flatnonzero(np.concatenate(([flat.size > 0], ranked[1:] != ranked[:-1])))
+    counts = np.diff(np.append(starts, flat.size))
+    pages = -(-counts // rows)
+    first_row = (np.cumsum(pages) - pages) * rows
+    read_at = np.empty_like(flat)
+    read_at[order] = np.repeat(first_row - starts, counts) + np.arange(flat.size)
+    return np.repeat(ranked[starts], pages), read_at.reshape(slabs.shape)
+
+
+def _scores(q, k, mask, scale):
+    scores = (q @ k.swapaxes(-1, -2)) / scale
+    return scores if mask is None else scores + mask
+
+
+def _joint_softmax(scores, s_sel):
+    """Weights of one softmax over each query's own-row scores (..., t, n)
+    and slot-row scores s_sel (..., t, S*l), returned as those two parts."""
     top = np.maximum(scores.max(-1, keepdims=True), s_sel.max(-1, keepdims=True, initial=-np.inf))
     w = np.exp(scores - top)
     w_sel = np.exp(s_sel - top)
     total = w.sum(-1, keepdims=True) + w_sel.sum(-1, keepdims=True)
-    out = (w / total) @ v
-    if len(sel) == 4:
-        u, l = v_sel.shape[-3:-1]
-        w_blk = np.zeros(lead + (t, u, l))
-        w_blk[at_w] = (w_sel / total).reshape(sel[3].shape + (l,))
-        return out + w_blk.reshape(lead + (t, u * l)) @ v_sel.reshape(lead + (u * l, d))
-    rows = v_sel.reshape(w_sel.shape + v_sel.shape[-1:])
-    return out + ((w_sel / total)[..., None, :] @ rows)[..., 0, :]
+    return w / total, w_sel / total
 
 
 def _distinct_index(slot_of: np.ndarray):

@@ -729,10 +729,17 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
         calls.append((q.shape, sel))
         return attend(q, k, v, mask, sel)
 
-    attend = engine_module.attend
+    def spying_paged(q, k, v, mask, pages):
+        calls.append((q.shape, pages))
+        return attend_paged(q, k, v, mask, pages)
+
+    attend, attend_paged = engine_module.attend, engine_module.attend_paged
     monkeypatch.setattr(engine_module, "attend", spying)
+    monkeypatch.setattr(engine_module, "attend_paged", spying_paged)
     L, H, d = wide_model.config.n_layers, wide_model.config.n_heads, wide_model.config.d_head
-    k, n = 8, 11 * l + 9
+    # at l = 16, twelve chunks of width k = 8 make a full group and a short one
+    k = 8
+    n = (20 if l == 16 else 11) * l + 9
     engine = make_engine(wide_model, l=l, k=k)
     encode_layer = engine._encode_layer
     layer_calls = []
@@ -747,26 +754,45 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
     engine.encode(random_tokens(n))
     trace, store = engine.trace, engine.store
     sels = iter(calls)
-    distinct_blocks = set()
+    distinct_blocks, group_sizes = set(), set()
     for layer in range(L):
-        per_slot = distinct = 0
+        paged = distinct = 0
         sealed = store.sealed_count(layer)
         slab_k = store._K[:sealed, layer].swapaxes(0, 1)
         slab_v = store._V[:sealed, layer].swapaxes(0, 1)
+        blocks = []
         for start in range(0, n, l):
             rows = (trace.layer == layer) & (trace.step >= start) & (trace.step < start + l)
             l_c, n_sel = int(rows.sum()) // H, int(trace.width[rows][0])
-            ids = [trace.chunk_ids[rows & (trace.head == h)][:, :n_sel] for h in range(H)]
-            if l_c * n_sel * l < engine_module.DISTINCT_MIN_ROWS:
-                # one call for every head: each token's slot rows, per head
-                per_slot += 1
-                q_shape, sel = next(sels)
-                assert q_shape == (H, l_c, d) and len(sel) == 3
-                k_sel, v_sel = sel[1:]
-                assert k_sel.shape == v_sel.shape == (H, l_c, n_sel, l, d)
+            ids = np.stack([trace.chunk_ids[rows & (trace.head == h)][:, :n_sel] for h in range(H)])
+            blocks.append((l_c, n_sel, ids))
+        c = 0
+        while c < len(blocks):
+            l_c, n_sel, ids = blocks[c]
+            reads = l_c * n_sel * l
+            if reads < engine_module.DISTINCT_MIN_ROWS:
+                # one call for every head of a group of consecutive chunks of
+                # one length and width, as many as GROUP_READ_ROWS allows
+                paged += 1
+                q_shape, pages = next(sels)
+                G = q_shape[1]
+                group_sizes.add(G)
+                assert q_shape == (H, G, l_c, d) and len(pages) == 4
+                assert all(b[:2] == (l_c, n_sel) for b in blocks[c : c + G])
+                assert G == 1 or G * reads <= engine_module.GROUP_READ_ROWS
+                if c + G < len(blocks):
+                    assert (blocks[c + G][:2] != (l_c, n_sel)
+                            or (G + 1) * reads > engine_module.GROUP_READ_ROWS)
+                group_ids = np.concatenate([b[2] for b in blocks[c : c + G]], axis=1)
+                q_pages, k_pages, v_pages, read_at = pages
+                assert read_at.shape == (H, G, l_c, n_sel)
+                page = read_at.reshape(H, G * l_c, n_sel) // q_pages.shape[1]
+                # each read's page holds the store's slab of the chunk it reads
                 for h in range(H):
-                    np.testing.assert_array_equal(k_sel[h], slab_k[h][ids[h]])
-                    np.testing.assert_array_equal(v_sel[h], slab_v[h][ids[h]])
+                    np.testing.assert_array_equal(k_pages[page[h]], slab_k[h][group_ids[h]])
+                    np.testing.assert_array_equal(v_pages[page[h]], slab_v[h][group_ids[h]])
+                assert np.unique(page).size == k_pages.shape[0] == v_pages.shape[0]
+                c += G
                 continue
             distinct += 1
             distinct_blocks.add((l_c, n_sel))
@@ -780,10 +806,13 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
                 np.testing.assert_array_equal(chunks[slot_of], ids[h])
                 np.testing.assert_array_equal(k_distinct, slab_k[h][chunks])
                 np.testing.assert_array_equal(v_distinct, slab_v[h][chunks])
-        assert layer_calls[layer] == per_slot + H * distinct
+            c += 1
+        assert layer_calls[layer] == paged + H * distinct
     assert next(sels, None) is None
-    # full l = 64 blocks of k' = 8 take the distinct layout; no l = 16 block does
+    # full l = 64 blocks of k' = 8 take the distinct layout; no l = 16 block
+    # does, and full l = 16 blocks group by 8
     assert ((l, k) in distinct_blocks) == (l == 64)
+    assert (engine_module.GROUP_READ_ROWS // (l * k * l) in group_sizes) == (l == 16)
     for _ in range(3):
         calls.clear()
         engine.generate(1)

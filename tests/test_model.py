@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from chunkattn import ModelConfig, build_model, full_attention_forward
-from chunkattn.model import RotaryTable, attend, causal_mask, rms_norm, softmax
+from chunkattn.model import (
+    PAGE_ROWS,
+    RotaryTable,
+    attend,
+    attend_paged,
+    causal_mask,
+    page_table,
+    rms_norm,
+    softmax,
+)
 
 from conftest import random_tokens
 
@@ -139,6 +148,16 @@ def test_rms_norm_of_zero_is_zero():
     np.testing.assert_array_equal(rms_norm(np.zeros((2, 4))), np.zeros((2, 4)))
 
 
+def test_rms_norm_is_bitwise_the_mean_formula():
+    rng = np.random.default_rng(3)
+    shapes = [(1, 64), (2048, 64), (3, 5, 16), (7,)]
+    shapes += [(int(rng.integers(1, 2049)), 64) for _ in range(40)]
+    for shape in shapes:
+        x = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+        expected = x / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + 1e-6)
+        np.testing.assert_array_equal(rms_norm(x), expected)
+
+
 def test_rotary_query_per_slot_matches_rotated_keys():
     # R(P)q . R(s*l + r)k == R(P - s*l)q . R(r)k for every P and every key
     # position s*l + r <= P of the table
@@ -229,6 +248,82 @@ def test_attend_with_slots_matches_one_concatenated_softmax():
         # the same chunks read once per distinct chunk
         from_distinct = attend(q, k, v, mask, distinct)
         assert np.abs(from_distinct - out).max() <= 1e-12 * np.abs(out).max()
+
+
+def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows):
+    """The same slot reads as `attend`'s per-slot rows and as `attend_paged`
+    pages of `rows` rows. With `shared`, slot 0 of every query reads chunk
+    0 and the other slots pick from S + 1 more chunks; else every query
+    reads S chunks that no other query reads, so each page holds one row.
+    Returns both `sel` arguments, the slabs read and the page_slab of the
+    pages."""
+    if shared:
+        C = S + 2
+        rest = rng.random(lead + (t, C - 1)).argsort(-1)[..., : max(S - 1, 0)] + 1
+        ids = np.concatenate([np.zeros(lead + (t, min(S, 1)), dtype=np.intp), rest], axis=-1)
+    else:
+        C = max(t * S, 1)
+        ids = rng.random(lead + (C,)).argsort(-1)[..., : t * S].reshape(lead + (t, S))
+    ids = np.sort(ids, axis=-1)
+    chunks_k, chunks_v = rng.normal(size=(2,) + lead + (C, l, d)) * 3
+    at = tuple(np.arange(n).reshape((n,) + (1,) * (len(lead) - i + 1)) for i, n in enumerate(lead))
+    q_sel = rng.normal(size=lead + (t, S, d))
+    per_slot = (q_sel, chunks_k[at + (ids,)], chunks_v[at + (ids,)])
+    slabs = np.ravel_multi_index(at + (ids,), lead + (C,))
+    page_slab, read_at = page_table(slabs, rows)
+    q_pages = np.full((page_slab.size, rows, d), np.nan)  # rows no slot reads stay unread
+    q_pages.reshape(-1, d)[read_at] = q_sel
+    k_flat, v_flat = chunks_k.reshape(-1, l, d), chunks_v.reshape(-1, l, d)
+    paged = (q_pages, k_flat[page_slab], v_flat[page_slab], read_at)
+    return per_slot, paged, slabs, page_slab
+
+
+def test_attend_paged_matches_per_slot_rows():
+    rng = np.random.default_rng(8)
+    drawn = [
+        (tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 3))),
+         int(rng.integers(1, 40)), int(rng.integers(0, 6)), int(rng.choice([1, 4, 16])),
+         int(rng.integers(0, 20)), bool(rng.random() < 0.5), int(rng.choice([1, 3, PAGE_ROWS])))
+        for _ in range(40)
+    ]
+    grid = [
+        (lead, t, S, l, extra, shared, PAGE_ROWS)
+        for lead in ((), (3,))
+        for t in (1, 5, 2 * PAGE_ROWS + 3)
+        for S in (0, 1, 4)
+        for l in (1, 8)
+        for extra in (0, 7)
+        for shared in (True, False)
+    ]
+    d = 8
+    for lead, t, S, l, extra, shared, rows in drawn + grid:
+        n = t + extra
+        q = rng.normal(size=lead + (t, d))
+        k, v = rng.normal(size=(2,) + lead + (n, d))
+        mask = causal_mask(t, n, offset=extra) if rng.random() < 0.8 else None
+        per_slot, paged, slabs, page_slab = paged_and_per_slot(rng, lead, t, S, l, d, shared, rows)
+        expected = attend(q, k, v, mask, per_slot)
+        out = attend_paged(q, k, v, mask, paged)
+        assert out.shape == expected.shape
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        # every page reads one slab, every read has a row of its own, and
+        # no page is empty
+        read_at = paged[3]
+        page = read_at // rows
+        np.testing.assert_array_equal(page_slab[page], slabs)
+        assert np.unique(read_at).size == read_at.size
+        assert np.unique(page).size == page_slab.size
+        per_page = np.bincount(page.ravel(), minlength=page_slab.size)
+        # slab ids past 16 bits take the int64 sort and the same pages
+        wide_slab, wide_read_at = page_table(slabs + 2**20, rows)
+        np.testing.assert_array_equal(wide_slab, page_slab + 2**20)
+        np.testing.assert_array_equal(wide_read_at, read_at)
+        if shared and S:
+            # chunk 0, read by all t queries, spans ceil(t / rows) pages
+            first = page[..., 0]
+            assert np.unique(first).size == -(-t // rows) * int(np.prod(lead))
+        elif S:
+            assert (per_page == 1).all()
 
 
 def test_mlp_scratch_is_one_block(tiny_model, monkeypatch):

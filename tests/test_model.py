@@ -255,8 +255,8 @@ def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows):
     pages of `rows` rows. With `shared`, slot 0 of every query reads chunk
     0 and the other slots pick from S + 1 more chunks; else every query
     reads S chunks that no other query reads, so each page holds one row.
-    Returns both `sel` arguments, the slabs read and the page_slab of the
-    pages."""
+    Returns the per-slot `sel`, the `attend_paged` pages, the slabs read
+    and the slab of each page."""
     if shared:
         C = S + 2
         rest = rng.random(lead + (t, C - 1)).argsort(-1)[..., : max(S - 1, 0)] + 1
@@ -313,7 +313,6 @@ def test_attend_paged_matches_per_slot_rows():
         np.testing.assert_array_equal(page_slab[page], slabs)
         assert np.unique(read_at).size == read_at.size
         assert np.unique(page).size == page_slab.size
-        per_page = np.bincount(page.ravel(), minlength=page_slab.size)
         # slab ids past 16 bits take the int64 sort and the same pages
         wide_slab, wide_read_at = page_table(slabs + 2**20, rows)
         np.testing.assert_array_equal(wide_slab, page_slab + 2**20)
@@ -323,7 +322,7 @@ def test_attend_paged_matches_per_slot_rows():
             first = page[..., 0]
             assert np.unique(first).size == -(-t // rows) * int(np.prod(lead))
         elif S:
-            assert (per_page == 1).all()
+            assert (np.bincount(page.ravel()) == 1).all()
 
 
 def test_mlp_scratch_is_one_block(tiny_model, monkeypatch):

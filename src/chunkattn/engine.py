@@ -34,16 +34,10 @@ from .remapping import remap
 from .selection import rank_top, select
 from .trace import SelectionTrace
 
-# An encode chunk whose tokens read at least this many rows (l_c * k' * l)
-# attends one head at a time, reading each chunk it selected once against
-# a zero-padded (chunks, l_c) query block (`attend`'s distinct form).
-# Smaller chunks are grouped and read through pages (`attend_paged`), which
-# measured slower for full l = 64 chunks; CHANGES.md holds the timings.
-DISTINCT_MIN_ROWS = 8192
-
-# A group of small encode chunks reads about this many rows (T * k' * l
-# for T tokens): 8 chunks at l = 16, k = 8. Its pages' gathered K/V slabs
-# dominate its scratch memory.
+# Encode attends consecutive chunks of one length and width in groups that
+# read about this many rows (T * k' * l for T tokens), or one chunk that
+# reads more: 8 chunks at l = 16, k = 8, and 1 at l = 64, k = 8 (32,768
+# rows). A group's pages' gathered K/V slabs dominate its scratch memory.
 GROUP_READ_ROWS = 16384
 
 
@@ -179,14 +173,11 @@ class Engine:
         stored so. A token j of a chunk that selected n_sel chunks sits at
         n_sel*l + j and its slot s at s*l + r, so its query is rotated once
         per slot, to (n_sel - s)*l + j, since R(a)q . R(b)k = R(a - c)q .
-        R(b - c)k. A chunk whose tokens read l_c * k' * l rows or more, at
-        least DISTINCT_MIN_ROWS, attends one head at a time and passes each
-        distinct chunk that head selected once, with every slot's row among
-        them (`attend`'s distinct form). Smaller chunks group with their
-        neighbours of the same length and width (`_encode_groups`), and each
-        group attends all heads in one `attend_paged` call: every head's
-        reads are sorted by chunk into pages of PAGE_ROWS query rows, and
-        each page reads its chunk's slab once.
+        R(b - c)k. Chunks group with their neighbours of the same length
+        and width (`_encode_groups`), and each group attends all heads in
+        one `attend_paged` call: every head's reads are sorted by chunk into
+        pages of PAGE_ROWS query rows, and each page reads its chunk's slab
+        once.
 
         The layer's Q, K and V are projected here, and K, whose last use is
         the chunk summaries, is dropped before attention; keys are rotated
@@ -226,32 +217,19 @@ class Engine:
             at = (np.arange(n_sel, -1, -1)[:, None] * l + np.arange(end - start) % l_c).ravel()
             q_rot = rope.apply(np.tile(Q[:, start:end], (1, n_sel + 1, 1)), at)
             q_rot = q_rot.reshape(H, n_sel + 1, end - start, d)
-            if l_c * n_sel * l < DISTINCT_MIN_ROWS:
-                # slab h * len(bounds) + c is chunk c of head h
-                page_slab, read_at = page_table(ids + np.arange(H)[:, None, None] * len(bounds))
-                head, chunk = np.divmod(page_slab, len(bounds))
-                q_pages = np.zeros((page_slab.size, PAGE_ROWS, d))
-                q_pages.reshape(-1, d)[read_at.transpose(0, 2, 1)] = q_rot[:, :n_sel]
-                G = (end - start) // l_c
-                pages = (q_pages, k_chunks[head, chunk], v_chunks[head, chunk],
-                         read_at.reshape(H, G, l_c, n_sel))
-                own = (H, G, l_c, d)
-                attn[:, start:end] = attend_paged(
-                    q_rot[:, n_sel].reshape(own), K_rot[:, start:end].reshape(own),
-                    V[:, start:end].reshape(own), mask[:l_c, :l_c], pages,
-                ).reshape(H, -1, d)
-                continue
-            q_sel = q_rot[:, :n_sel].transpose(0, 2, 1, 3)
-            for head in range(H):
-                present = np.zeros(k_chunks.shape[1], dtype=bool)
-                present[ids[head]] = True
-                chunks = np.flatnonzero(present)
-                slot_of = (np.cumsum(present) - 1)[ids[head]]
-                sel = (q_sel[head], k_chunks[head, chunks], v_chunks[head, chunks], slot_of)
-                attn[head, start:end] = attend(
-                    q_rot[head, n_sel], K_rot[head, start:end], V[head, start:end],
-                    mask[:l_c, :l_c], sel=sel,
-                )
+            # slab h * len(bounds) + c is chunk c of head h
+            page_slab, read_at = page_table(ids + np.arange(H)[:, None, None] * len(bounds))
+            head, chunk = np.divmod(page_slab, len(bounds))
+            q_pages = np.zeros((page_slab.size, PAGE_ROWS, d))
+            q_pages.reshape(-1, d)[read_at.transpose(0, 2, 1)] = q_rot[:, :n_sel]
+            G = (end - start) // l_c
+            pages = (q_pages, k_chunks[head, chunk], v_chunks[head, chunk],
+                     read_at.reshape(H, G, l_c, n_sel))
+            own = (H, G, l_c, d)
+            attn[:, start:end] = attend_paged(
+                q_rot[:, n_sel].reshape(own), K_rot[:, start:end].reshape(own),
+                V[:, start:end].reshape(own), mask[:l_c, :l_c], pages,
+            ).reshape(H, -1, d)
         return attn
 
     def _note_encode_window(self, rows: int) -> None:
@@ -468,17 +446,16 @@ def _encode_groups(bounds, block_ids, l):
     tokens each, that encode attends in one call; ids (H, end - start,
     n_sel) holds the run's selections.
 
-    A chunk whose tokens read l_c * n_sel * l rows or more, at least
-    DISTINCT_MIN_ROWS, runs alone. Smaller chunks of the same length and
-    width group until the run reads about GROUP_READ_ROWS rows: one width,
-    so no slot is padded, and one length, so the own-chunk scores batch.
+    Chunks of the same length and width group until the run reads about
+    GROUP_READ_ROWS rows, and a chunk that reads more runs alone: one
+    width, so no slot is padded, and one length, so the own-chunk scores
+    batch.
     """
     first = 0
     for (l_c, n_sel), run in groupby((end - start, ids.shape[-1])
                                      for (start, end), ids in zip(bounds, block_ids)):
         past = first + sum(1 for _ in run)
-        reads = l_c * n_sel * l
-        size = 1 if reads >= DISTINCT_MIN_ROWS else max(1, GROUP_READ_ROWS // max(reads, 1))
+        size = max(1, GROUP_READ_ROWS // max(l_c * n_sel * l, 1))
         for i in range(first, past, size):
             j = min(i + size, past)
             yield l_c, bounds[i][0], bounds[j - 1][1], np.concatenate(block_ids[i:j], axis=1)

@@ -61,40 +61,19 @@ def attend(
     q_sel (..., t, S, d) holds each query as rotated for its slot and
     k_sel, v_sel (..., t, S, l, d) the slot rows. Both blocks share one
     softmax, normalised before the V products, so S = 0 gives exactly
-    the result without `sel`. Decode passes this form.
-
-    `sel = (q_sel, k_distinct, v_distinct, slot_of)` is the same sum with
-    the slot rows stored once per distinct chunk: k_distinct, v_distinct
-    (..., U, l, d) and slot_of (..., t, S) the row of U each slot reads. A
-    query reads each chunk at most once. Every distinct chunk is scored
-    against all t queries in one batched product and the weights are
-    scattered into (..., t, U*l) for one V product, so no row is copied
-    per query. Encode passes this form for large blocks; `attend_paged`
-    is the form for small ones.
+    the result without `sel`. Decode passes this form; encode reads its
+    slots through pages (`attend_paged`).
     """
     scale = np.sqrt(q.shape[-1])
     scores = _scores(q, k, mask, scale)
     if sel is None:
         return softmax(scores) @ v
-    q_sel, k_sel, v_sel = sel[:3]
-    if len(sel) == 4:
-        at_q, at_w = _distinct_index(sel[3])
-        lead, (t, _, d) = q_sel.shape[:-3], q_sel.shape[-3:]
-        q_blk = np.zeros(lead + (k_sel.shape[-3], t, d))
-        q_blk[at_q] = q_sel
-        s_sel = (q_blk @ k_sel.swapaxes(-1, -2))[at_q]
-    else:
-        s_sel = q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)
+    q_sel, k_sel, v_sel = sel
+    s_sel = q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)
     s_sel = (s_sel / scale).reshape(scores.shape[:-1] + (-1,))
-    w, w_sel = _joint_softmax(scores, s_sel)
-    out = w @ v
-    if len(sel) == 4:
-        u, l = v_sel.shape[-3:-1]
-        w_blk = np.zeros(lead + (t, u, l))
-        w_blk[at_w] = w_sel.reshape(sel[3].shape + (l,))
-        return out + w_blk.reshape(lead + (t, u * l)) @ v_sel.reshape(lead + (u * l, d))
-    rows = v_sel.reshape(w_sel.shape + v_sel.shape[-1:])
-    return out + (w_sel[..., None, :] @ rows)[..., 0, :]
+    total = _exp_shifted(scores, s_sel)
+    rows = v_sel.reshape(s_sel.shape + v_sel.shape[-1:])
+    return (scores / total) @ v + ((s_sel / total)[..., None, :] @ rows)[..., 0, :]
 
 
 def attend_paged(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, pages) -> np.ndarray:
@@ -110,21 +89,28 @@ def attend_paged(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, pages) -> np
     product, one softmax per query spans its own rows and its S*l slot
     rows, and one batched product weighs each page's V; flat-index takes
     put scores and outputs back in query order. So a slab read by several
-    queries is copied once per page, not once per query.
+    queries is copied once per page, not once per query. The softmax is
+    exponentiated in place and divided once, on the (..., t, d) output;
+    no input is written. With no slots (S = 0) this is `attend` without
+    `sel`, bit for bit.
     """
     q_pages, k_pages, v_pages, read_at = pages
+    if not read_at.shape[-1]:
+        return attend(q, k, v, mask)
     scale = np.sqrt(q.shape[-1])
     scores = _scores(q, k, mask, scale)
     l, d = k_pages.shape[-2:]
     s_pages = q_pages @ k_pages.swapaxes(-1, -2)
-    s_sel = s_pages.reshape(-1, l).take(read_at, axis=0) / scale
-    w, w_sel = _joint_softmax(scores, s_sel.reshape(scores.shape[:-1] + (-1,)))
+    s_sel = s_pages.reshape(-1, l).take(read_at, axis=0)
+    s_sel *= 1 / scale  # a product, several times cheaper than a quotient
+    total = _exp_shifted(scores, s_sel.reshape(scores.shape[:-1] + (-1,)))
     # The weights overwrite every row a slot reads; the other rows' outputs
     # are never taken.
-    w_pages = s_pages
-    w_pages.reshape(-1, l)[read_at] = w_sel.reshape(read_at.shape + (l,))
-    out_pages = (w_pages @ v_pages).reshape(-1, d)
-    return w @ v + out_pages.take(read_at, axis=0).sum(-2)
+    s_pages.reshape(-1, l)[read_at] = s_sel
+    out = scores @ v
+    out += (s_pages @ v_pages).reshape(-1, d).take(read_at, axis=0).sum(-2)
+    out /= total
+    return out
 
 
 def page_table(slabs: np.ndarray, rows: int = PAGE_ROWS):
@@ -153,30 +139,23 @@ def page_table(slabs: np.ndarray, rows: int = PAGE_ROWS):
 
 
 def _scores(q, k, mask, scale):
-    scores = (q @ k.swapaxes(-1, -2)) / scale
-    return scores if mask is None else scores + mask
+    scores = q @ k.swapaxes(-1, -2)
+    scores /= scale
+    if mask is not None:
+        scores += mask
+    return scores
 
 
-def _joint_softmax(scores, s_sel):
-    """Weights of one softmax over each query's own-row scores (..., t, n)
-    and slot-row scores s_sel (..., t, S*l), returned as those two parts."""
+def _exp_shifted(scores, s_sel):
+    """Exponentiate, in place, each query's own-row scores (..., t, n) and
+    slot-row scores s_sel (..., t, S*l), both shifted by the query's max
+    over the two, and return the (..., t, 1) sums that their one softmax
+    divides by."""
     top = np.maximum(scores.max(-1, keepdims=True), s_sel.max(-1, keepdims=True, initial=-np.inf))
-    w = np.exp(scores - top)
-    w_sel = np.exp(s_sel - top)
-    total = w.sum(-1, keepdims=True) + w_sel.sum(-1, keepdims=True)
-    return w / total, w_sel / total
-
-
-def _distinct_index(slot_of: np.ndarray):
-    """Index tuples that address, for every slot (..., j, s), row
-    slot_of[..., j, s] of a (..., U, t, ·) block and of a (..., t, U, ·)
-    block at query j."""
-    lead = tuple(
-        np.arange(n).reshape((n,) + (1,) * (slot_of.ndim - 1 - axis))
-        for axis, n in enumerate(slot_of.shape[:-2])
-    )
-    query = np.arange(slot_of.shape[-2])[:, None]
-    return lead + (slot_of, query), lead + (query, slot_of)
+    for part in (scores, s_sel):
+        part -= top
+        np.exp(part, out=part)
+    return scores.sum(-1, keepdims=True) + s_sel.sum(-1, keepdims=True)
 
 
 def row_blocks(n: int) -> list:

@@ -700,37 +700,39 @@ def wide_model():
 def test_encode_layouts_agree_for_every_policy(wide_model, policy, monkeypatch, tmp_path):
     import chunkattn.engine as engine_module
 
-    l, k, n, steps = 64, 8, 11 * 64 + 9, 60  # decode crosses the seal at 768
+    # full chunks group by 8; decode crosses the seal at 336
+    l, k, n, steps = 16, 8, 20 * 16 + 9, 60
+    default = engine_module.GROUP_READ_ROWS
 
-    def run(distinct_min_rows):
-        monkeypatch.setattr(engine_module, "DISTINCT_MIN_ROWS", distinct_min_rows)
+    def run(group_read_rows):
+        monkeypatch.setattr(engine_module, "GROUP_READ_ROWS", group_read_rows)
         engine = make_engine(wide_model, l=l, k=k, policy=policy, residency="budget",
                              budget=(k + 1) * l)
         logits = engine.encode(random_tokens(n))
         tokens = engine.generate(steps).tokens
-        path = tmp_path / f"trace-{distinct_min_rows}.json"
+        path = tmp_path / f"trace-{group_read_rows}.json"
         engine.trace.to_json(path)
         ints = (tokens, path.read_bytes(), engine.counters_dict(), engine.store.peak_hot_tokens)
         return ints, logits, engine.last_logits
 
-    every_block, no_block = run(0), run(10**12)
-    assert every_block[0] == no_block[0]
-    for a, b in zip(every_block[1:], no_block[1:]):
+    chunk_by_chunk, grouped = run(1), run(default)
+    assert chunk_by_chunk[0] == grouped[0]
+    for a, b in zip(chunk_by_chunk[1:], grouped[1:]):
         assert np.abs(a - b).max() < 1e-12
 
 
 @pytest.mark.parametrize("l", [16, 64])
-def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monkeypatch):
+def test_encode_attends_each_chunk_group_in_one_paged_call(wide_model, l, monkeypatch):
     import chunkattn.engine as engine_module
 
     calls = []
 
     def spying(q, k, v, mask=None, sel=None):
-        calls.append((q.shape, sel))
+        calls.append(("attend", q.shape, sel))
         return attend(q, k, v, mask, sel)
 
     def spying_paged(q, k, v, mask, pages):
-        calls.append((q.shape, pages))
+        calls.append(("attend_paged", q.shape, pages))
         return attend_paged(q, k, v, mask, pages)
 
     attend, attend_paged = engine_module.attend, engine_module.attend_paged
@@ -754,9 +756,8 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
     engine.encode(random_tokens(n))
     trace, store = engine.trace, engine.store
     sels = iter(calls)
-    distinct_blocks, group_sizes = set(), set()
+    group_sizes = set()
     for layer in range(L):
-        paged = distinct = 0
         sealed = store.sealed_count(layer)
         slab_k = store._K[:sealed, layer].swapaxes(0, 1)
         slab_v = store._V[:sealed, layer].swapaxes(0, 1)
@@ -766,57 +767,46 @@ def test_encode_passes_distinct_chunks_only_for_large_blocks(wide_model, l, monk
             l_c, n_sel = int(rows.sum()) // H, int(trace.width[rows][0])
             ids = np.stack([trace.chunk_ids[rows & (trace.head == h)][:, :n_sel] for h in range(H)])
             blocks.append((l_c, n_sel, ids))
-        c = 0
+        groups = c = 0
         while c < len(blocks):
-            l_c, n_sel, ids = blocks[c]
+            # one call for every head of a group of consecutive chunks of one
+            # length and width, as many as GROUP_READ_ROWS allows
+            l_c, n_sel = blocks[c][:2]
             reads = l_c * n_sel * l
-            if reads < engine_module.DISTINCT_MIN_ROWS:
-                # one call for every head of a group of consecutive chunks of
-                # one length and width, as many as GROUP_READ_ROWS allows
-                paged += 1
-                q_shape, pages = next(sels)
-                G = q_shape[1]
-                group_sizes.add(G)
-                assert q_shape == (H, G, l_c, d) and len(pages) == 4
-                assert all(b[:2] == (l_c, n_sel) for b in blocks[c : c + G])
-                assert G == 1 or G * reads <= engine_module.GROUP_READ_ROWS
-                if c + G < len(blocks):
-                    assert (blocks[c + G][:2] != (l_c, n_sel)
-                            or (G + 1) * reads > engine_module.GROUP_READ_ROWS)
-                group_ids = np.concatenate([b[2] for b in blocks[c : c + G]], axis=1)
-                q_pages, k_pages, v_pages, read_at = pages
-                assert read_at.shape == (H, G, l_c, n_sel)
-                page = read_at.reshape(H, G * l_c, n_sel) // q_pages.shape[1]
-                # each read's page holds the store's slab of the chunk it reads
-                for h in range(H):
-                    np.testing.assert_array_equal(k_pages[page[h]], slab_k[h][group_ids[h]])
-                    np.testing.assert_array_equal(v_pages[page[h]], slab_v[h][group_ids[h]])
-                assert np.unique(page).size == k_pages.shape[0] == v_pages.shape[0]
-                c += G
-                continue
-            distinct += 1
-            distinct_blocks.add((l_c, n_sel))
+            kind, q_shape, pages = next(sels)
+            G = q_shape[1]
+            group_sizes.add(G)
+            assert kind == "attend_paged"
+            assert q_shape == (H, G, l_c, d) and len(pages) == 4
+            assert all(b[:2] == (l_c, n_sel) for b in blocks[c : c + G])
+            assert G == 1 or G * reads <= engine_module.GROUP_READ_ROWS
+            if c + G < len(blocks):
+                assert (blocks[c + G][:2] != (l_c, n_sel)
+                        or (G + 1) * reads > engine_module.GROUP_READ_ROWS)
+            group_ids = np.concatenate([b[2] for b in blocks[c : c + G]], axis=1)
+            q_pages, k_pages, v_pages, read_at = pages
+            assert read_at.shape == (H, G, l_c, n_sel)
+            page = read_at.reshape(H, G * l_c, n_sel) // q_pages.shape[1]
+            # each read's page holds the store's slab of the chunk it reads
             for h in range(H):
-                # one call per head, one row per distinct chunk, in id order
-                q_shape, sel = next(sels)
-                assert q_shape == (l_c, d) and len(sel) == 4
-                chunks = np.unique(ids[h])
-                k_distinct, v_distinct, slot_of = sel[1:]
-                assert k_distinct.shape == v_distinct.shape == (chunks.size, l, d)
-                np.testing.assert_array_equal(chunks[slot_of], ids[h])
-                np.testing.assert_array_equal(k_distinct, slab_k[h][chunks])
-                np.testing.assert_array_equal(v_distinct, slab_v[h][chunks])
-            c += 1
-        assert layer_calls[layer] == paged + H * distinct
+                np.testing.assert_array_equal(k_pages[page[h]], slab_k[h][group_ids[h]])
+                np.testing.assert_array_equal(v_pages[page[h]], slab_v[h][group_ids[h]])
+            assert np.unique(page).size == k_pages.shape[0] == v_pages.shape[0]
+            groups += 1
+            c += G
+        assert layer_calls[layer] == groups
     assert next(sels, None) is None
-    # full l = 64 blocks of k' = 8 take the distinct layout; no l = 16 block
-    # does, and full l = 16 blocks group by 8
-    assert ((l, k) in distinct_blocks) == (l == 64)
-    assert (engine_module.GROUP_READ_ROWS // (l * k * l) in group_sizes) == (l == 16)
+    if l == 16:
+        # full chunks of k' = 8 read 2,048 rows each and group by 8
+        assert engine_module.GROUP_READ_ROWS // (l * k * l) in group_sizes
+    else:
+        # a full chunk reads 32,768 rows, more than a group's, and runs
+        # alone; the shorter or narrower chunks each have a shape of their own
+        assert group_sizes == {1}
     for _ in range(3):
         calls.clear()
         engine.generate(1)
-        assert [len(sel) for _, sel in calls] == [3] * L
+        assert [(kind, len(sel)) for kind, _, sel in calls] == [("attend", 3)] * L
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -186,16 +186,12 @@ def test_attend_without_slots_is_the_plain_formula():
             # zero slots normalise the same weights the same way
             empty = (np.zeros((t, 0, d)), np.zeros((t, 0, 5, d)), np.zeros((t, 0, 5, d)))
             np.testing.assert_array_equal(attend(q, k, v, mask, empty), expected)
-            no_chunks = (np.zeros((t, 0, d)), np.zeros((0, 5, d)), np.zeros((0, 5, d)),
-                         np.zeros((t, 0), dtype=np.intp))
-            np.testing.assert_array_equal(attend(q, k, v, mask, no_chunks), expected)
 
 
-def slot_layouts(rng, lead, t, S, l, d, repeats):
-    """Per-slot and distinct `sel` layouts of the same chunks. Each of the t
-    queries reads S different chunks, picked from S + 1 chunks (heavy
-    repeats) or from t*S (each read once); the distinct rows are the union
-    of the chunks any leading index reads."""
+def slot_rows(rng, lead, t, S, l, d, repeats):
+    """A per-slot `sel` for `attend`. Each of the t queries reads S
+    different chunks, picked from S + 1 chunks (heavy repeats) or from t*S
+    (each read once)."""
     C = S + 1 if repeats else t * S
     chunks_k, chunks_v = rng.normal(size=(2,) + lead + (C, l, d)) * 3
     if repeats:
@@ -205,12 +201,7 @@ def slot_layouts(rng, lead, t, S, l, d, repeats):
     ids = np.sort(ids, axis=-1)
     at = tuple(np.arange(n).reshape((n, 1, 1)) for n in lead)
     q_sel = rng.normal(size=lead + (t, S, d))
-    per_slot = (q_sel, chunks_k[at + (ids,)], chunks_v[at + (ids,)])
-    present = np.zeros(C, dtype=bool)
-    present[ids] = True
-    rows = np.flatnonzero(present)
-    distinct = (q_sel, chunks_k[..., rows, :, :], chunks_v[..., rows, :, :], (np.cumsum(present) - 1)[ids])
-    return per_slot, distinct
+    return q_sel, chunks_k[at + (ids,)], chunks_v[at + (ids,)]
 
 
 def test_attend_with_slots_matches_one_concatenated_softmax():
@@ -235,7 +226,7 @@ def test_attend_with_slots_matches_one_concatenated_softmax():
         q = rng.normal(size=lead + (t, d))
         k, v = rng.normal(size=(2,) + lead + (n, d))
         mask = causal_mask(t, n, offset=n - t) if extra or rng.random() < 0.5 else None
-        per_slot, distinct = slot_layouts(rng, lead, t, S, l_sel, d, repeats)
+        per_slot = slot_rows(rng, lead, t, S, l_sel, d, repeats)
         out = attend(q, k, v, mask, per_slot)
         q_sel, k_sel, v_sel = per_slot
         s_sel = np.einsum("...tsd,...tsrd->...tsr", q_sel, k_sel).reshape(lead + (t, S * l_sel))
@@ -245,18 +236,15 @@ def test_attend_with_slots_matches_one_concatenated_softmax():
         rows = np.concatenate([v_sel.reshape(lead + (t, S * l_sel, d)), own], axis=-2)
         expected = np.einsum("...tr,...trd->...td", w, rows)
         assert np.abs(out - expected).max() < 1e-13
-        # the same chunks read once per distinct chunk
-        from_distinct = attend(q, k, v, mask, distinct)
-        assert np.abs(from_distinct - out).max() <= 1e-12 * np.abs(out).max()
 
 
-def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows):
+def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows, gain=1.0):
     """The same slot reads as `attend`'s per-slot rows and as `attend_paged`
     pages of `rows` rows. With `shared`, slot 0 of every query reads chunk
     0 and the other slots pick from S + 1 more chunks; else every query
     reads S chunks that no other query reads, so each page holds one row.
-    Returns the per-slot `sel`, the `attend_paged` pages, the slabs read
-    and the slab of each page."""
+    The slot queries are scaled by `gain`. Returns the per-slot `sel`, the
+    `attend_paged` pages, the slabs read and the slab of each page."""
     if shared:
         C = S + 2
         rest = rng.random(lead + (t, C - 1)).argsort(-1)[..., : max(S - 1, 0)] + 1
@@ -267,7 +255,7 @@ def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows):
     ids = np.sort(ids, axis=-1)
     chunks_k, chunks_v = rng.normal(size=(2,) + lead + (C, l, d)) * 3
     at = tuple(np.arange(n).reshape((n,) + (1,) * (len(lead) - i + 1)) for i, n in enumerate(lead))
-    q_sel = rng.normal(size=lead + (t, S, d))
+    q_sel = rng.normal(size=lead + (t, S, d)) * gain
     per_slot = (q_sel, chunks_k[at + (ids,)], chunks_v[at + (ids,)])
     slabs = np.ravel_multi_index(at + (ids,), lead + (C,))
     page_slab, read_at = page_table(slabs, rows)
@@ -283,28 +271,34 @@ def test_attend_paged_matches_per_slot_rows():
     drawn = [
         (tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 3))),
          int(rng.integers(1, 40)), int(rng.integers(0, 6)), int(rng.choice([1, 4, 16])),
-         int(rng.integers(0, 20)), bool(rng.random() < 0.5), int(rng.choice([1, 3, PAGE_ROWS])))
+         int(rng.integers(0, 20)), bool(rng.random() < 0.5), int(rng.choice([1, 3, PAGE_ROWS])),
+         float(rng.choice([1.0, 300.0])))
         for _ in range(40)
     ]
+    # gain 300 makes scores of magnitude ~1e3, whose exponentials overflow
+    # unless the max is subtracted before the softmax's division
     grid = [
-        (lead, t, S, l, extra, shared, PAGE_ROWS)
+        (lead, t, S, l, extra, shared, PAGE_ROWS, gain)
         for lead in ((), (3,))
         for t in (1, 5, 2 * PAGE_ROWS + 3)
         for S in (0, 1, 4)
         for l in (1, 8)
         for extra in (0, 7)
         for shared in (True, False)
+        for gain in (1.0, 300.0)
     ]
     d = 8
-    for lead, t, S, l, extra, shared, rows in drawn + grid:
+    for lead, t, S, l, extra, shared, rows, gain in drawn + grid:
         n = t + extra
-        q = rng.normal(size=lead + (t, d))
+        q = rng.normal(size=lead + (t, d)) * gain
         k, v = rng.normal(size=(2,) + lead + (n, d))
         mask = causal_mask(t, n, offset=extra) if rng.random() < 0.8 else None
-        per_slot, paged, slabs, page_slab = paged_and_per_slot(rng, lead, t, S, l, d, shared, rows)
+        per_slot, paged, slabs, page_slab = paged_and_per_slot(
+            rng, lead, t, S, l, d, shared, rows, gain)
         expected = attend(q, k, v, mask, per_slot)
         out = attend_paged(q, k, v, mask, paged)
         assert out.shape == expected.shape
+        assert np.isfinite(out).all()
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         # every page reads one slab, every read has a row of its own, and
         # no page is empty
@@ -323,6 +317,30 @@ def test_attend_paged_matches_per_slot_rows():
             assert np.unique(first).size == -(-t // rows) * int(np.prod(lead))
         elif S:
             assert (np.bincount(page.ravel()) == 1).all()
+
+
+def test_attend_paged_leaves_its_inputs_unchanged():
+    rng = np.random.default_rng(9)
+    d = 8
+    for lead, t, S, l, extra, shared, gain in (
+        ((), 5, 0, 4, 3, True, 1.0),
+        ((), 2 * PAGE_ROWS + 3, 4, 8, 7, True, 300.0),
+        ((2,), 9, 3, 4, 0, False, 1.0),
+        ((2, 3), 4, 2, 1, 2, True, 300.0),
+    ):
+        n = t + extra
+        q = rng.normal(size=lead + (t, d)) * gain
+        k, v = rng.normal(size=(2,) + lead + (n, d))
+        mask = causal_mask(t, n, offset=extra)
+        _, paged, _, _ = paged_and_per_slot(rng, lead, t, S, l, d, shared, PAGE_ROWS, gain)
+        inputs = (q, k, v, mask) + paged
+        before = [x.copy() for x in inputs]
+        for x in inputs:
+            x.flags.writeable = False  # a write in place raises
+        out = attend_paged(q, k, v, mask, paged)
+        assert np.isfinite(out).all()
+        for x, y in zip(inputs, before):
+            np.testing.assert_array_equal(x, y)  # unread NaN rows compare equal
 
 
 def test_mlp_scratch_is_one_block(tiny_model, monkeypatch):

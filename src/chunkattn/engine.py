@@ -40,6 +40,13 @@ from .trace import SelectionTrace
 # rows). A group's pages' gathered K/V slabs dominate its scratch memory.
 GROUP_READ_ROWS = 16384
 
+# Encode ranks about this many scores at once, at most: a group whose
+# (H, T, C) score matrix would be larger selects in blocks of whole chunks.
+# A larger matrix and its partition copy outgrow a core's 2 MB L2: whole
+# groups of 16.8 MB (n = 65536, l = 16) made encode slower than ranking
+# chunk by chunk (see CHANGES.md).
+SELECT_BLOCK_SCORES = 2**18
+
 
 @dataclass
 class StepCounters:
@@ -168,16 +175,20 @@ class Engine:
         """One layer's chunked attention over the whole prompt's (n, d_model)
         hidden rows h, (H, n, d_head).
 
-        Selection runs for every chunk first, so the trace keeps chunk order.
+        Each chunk's selection width follows from its index, k and the
+        policy alone, so chunks group with their neighbours of the same
+        length and width before any is selected (`_encode_groups`). Every
+        group selects first, in chunk order, so the trace keeps chunk order:
+        one score matrix, filled chunk by chunk, one `rank_top` call and one
+        trace block for all its tokens and heads (`_encode_selection`; in
+        blocks of whole chunks past SELECT_BLOCK_SCORES scores). Then each
+        group attends in one `attend_paged` call.
         Every key is rotated once, by its offset r inside its chunk, and
         stored so. A token j of a chunk that selected n_sel chunks sits at
         n_sel*l + j and its slot s at s*l + r, so its query is rotated once
         per slot, to (n_sel - s)*l + j, since R(a)q . R(b)k = R(a - c)q .
-        R(b - c)k. Chunks group with their neighbours of the same length
-        and width (`_encode_groups`), and each group attends all heads in
-        one `attend_paged` call: every head's reads are sorted by chunk into
-        pages of PAGE_ROWS query rows, and each page reads its chunk's slab
-        once.
+        R(b - c)k. Every head's reads are sorted by chunk into pages of
+        PAGE_ROWS query rows, and each page reads its chunk's slab once.
 
         The layer's Q, K and V are projected here, and K, whose last use is
         the chunk summaries, is dropped before attention; keys are rotated
@@ -195,24 +206,27 @@ class Engine:
         self.store.bulk_append(layer, Q, K, V, K_rot)
         del K  # the summaries were its last use
         reprs = self.store.layer_reprs(layer)
-        # Chunk 0 selects nothing; with scores on, it records zero candidates.
-        l_0 = bounds[0][1]
-        block_ids = [np.zeros((H, l_0, 0), dtype=np.int64)]
-        no_scores = np.zeros((H, l_0, 0)) if self.record_scores else None
-        self._record_block(layer, 0, block_ids[0], no_scores)
-        self._note_encode_window(l_0)
-        for c, (start, end) in enumerate(bounds[1:], 1):
-            l_c = end - start
-            ids, scores = self._encode_selection_ids(layer, c, l_c, start, reprs, Q[:, start:end])
-            self._record_block(layer, start, ids, scores)
-            self._note_encode_window(ids.shape[-1] * l + l_c)
-            block_ids.append(ids)
         n_full = self.layout.m_complete * l
         k_chunks = K_rot[:, :n_full].reshape(H, -1, l, d)
         v_chunks = V[:, :n_full].reshape(H, -1, l, d)
         mask = causal_mask(l, l)
         attn = np.empty_like(Q)
-        for l_c, start, end, ids in _encode_groups(bounds, block_ids, l):
+        widths = _encode_widths(self.config, len(bounds))
+        groups = []
+        for c0, c1 in _encode_groups(bounds, widths, l):
+            start, end = bounds[c0][0], bounds[c1 - 1][1]
+            l_c, n_sel = bounds[c0][1] - start, int(widths[c0])
+            per = max(1, SELECT_BLOCK_SCORES // (H * l_c * max(c1 - 3, 1)))
+            ids = []
+            for s0 in range(c0, c1, per):  # blocks of whole chunks
+                s1 = min(s0 + per, c1)
+                a, b = bounds[s0][0], bounds[s1 - 1][1]
+                block, scores = self._encode_selection(layer, s0, s1, l_c, n_sel, reprs, Q[:, a:b])
+                self._record_block(layer, a, block, scores)
+                ids.append(block)
+            self._note_encode_window(n_sel * l + l_c)
+            groups.append((c1 - c0, l_c, start, end, np.concatenate(ids, axis=1)))
+        for G, l_c, start, end, ids in groups:
             n_sel = ids.shape[-1]
             at = (np.arange(n_sel, -1, -1)[:, None] * l + np.arange(end - start) % l_c).ravel()
             q_rot = rope.apply(np.tile(Q[:, start:end], (1, n_sel + 1, 1)), at)
@@ -222,7 +236,6 @@ class Engine:
             head, chunk = np.divmod(page_slab, len(bounds))
             q_pages = np.zeros((page_slab.size, PAGE_ROWS, d))
             q_pages.reshape(-1, d)[read_at.transpose(0, 2, 1)] = q_rot[:, :n_sel]
-            G = (end - start) // l_c
             pages = (q_pages, k_chunks[head, chunk], v_chunks[head, chunk],
                      read_at.reshape(H, G, l_c, n_sel))
             own = (H, G, l_c, d)
@@ -240,84 +253,96 @@ class Engine:
             counters.encode_max_rotary_position = rows - 1
 
     def _record_block(self, layer, token0, ids, scores) -> None:
-        """Trace one chunk's (H, l_c, n_sel) ids, with its (H, l_c, C)
-        scores when they are recorded, as l_c * H rows, token-major."""
-        H, l_c = ids.shape[:2]
-        rows = l_c * H
-        if scores is not None:
-            scores = scores.transpose(1, 0, 2).reshape(rows, scores.shape[-1])
+        """Trace a group's (H, T, n_sel) ids for tokens token0.. token0 + T - 1
+        as T * H rows, token-major, with each chunk's token-major score
+        matrix when scores are recorded."""
+        H, T = ids.shape[:2]
         self.trace.append_block(
-            np.repeat(np.arange(token0, token0 + l_c), H),
+            np.repeat(np.arange(token0, token0 + T), H),
             layer,
-            np.tile(np.arange(H), l_c),
-            ids.transpose(1, 0, 2).reshape(rows, ids.shape[-1]),
+            np.tile(np.arange(H), T),
+            ids.transpose(1, 0, 2).reshape(T * H, ids.shape[-1]),
             scores,
         )
 
-    def _encode_selection_ids(self, layer, c, l_c, token0, reprs, q_blk):
-        """Per-token selected chunk ids for one chunk's queries.
+    def _encode_selection(self, layer, c0, c1, l_c, n_sel, reprs, q):
+        """Selected chunk ids of the queries q (H, T, d) of chunks c0..c1-1,
+        l_c tokens each, all of width n_sel.
 
-        Returns ids of shape (H, l_c, n_sel), ascending along the last axis,
-        plus the (H, l_c, C) scores when score recording is on, else None.
-        Candidates are the C sealed chunks strictly between the first chunk
-        and the chunk just before this one.
+        Returns ids (H, T, n_sel), ascending along the last axis, and, when
+        scores are recorded, a list with each chunk's (l_c * H, C) scores,
+        token-major; else None. Chunk c's candidates are the C = c - 2
+        sealed chunks strictly between the first chunk and chunk c - 1. The
+        group's (H, T, c1 - 3) scores hold each chunk's candidates first and
+        -inf past them, and one `rank_top` call ranks every row within its
+        own chunk's columns.
         """
         cfg = self.config
-        H = self.model.config.n_heads
-        k = cfg.num_selected
+        H, T = q.shape[:2]
         policy = cfg.policy
         base = "top-k" if policy in CONSTRAINT_POLICIES else policy
-        first, last = 0, c - 1
-        cand_ids = np.arange(1, c - 1, dtype=np.int64)
+        last = np.repeat(np.arange(c0, c1), l_c) - 1  # each row's last chunk
+        count = max(c1 - 3, 0)  # the candidates of the group's last chunk
 
         reuse = policy in ("fix-layer", "fix-head-and-layer") and layer > 0
-        scores = None
+        scores = recorded = None
         if self.record_scores or (base in ("top-k", "no-first") and not reuse):
-            out = None
             if self.record_scores:
                 # Laid out token-major, as the trace keeps its rows, so the
-                # trace holds this array and not a copy of it.
-                out = np.empty((l_c, H, cand_ids.size)).transpose(1, 0, 2)
-            scores = np.matmul(q_blk, reprs[:, 1 : c - 1].swapaxes(-1, -2), out=out)
+                # trace holds views of this array and not copies.
+                scores = np.empty((T, H, count)).transpose(1, 0, 2)
+                recorded = []
+            else:
+                scores = np.empty((H, T, count))
+            # Each chunk's own product: past about 192 candidates the last
+            # bits of OpenBLAS's gemm depend on its shape, and a chunk's
+            # scores must not depend on the group it falls in.
+            for i, c in zip(range(0, T, l_c), range(c0, c1)):
+                C, rows = max(c - 2, 0), slice(i, i + l_c)
+                cands = reprs[:, 1 : 1 + C].swapaxes(-1, -2)
+                np.matmul(q[:, rows], cands, out=scores[:, rows, :C])
+                scores[:, rows, C:] = -np.inf
+                if recorded is not None:
+                    recorded.append(scores[:, rows, :C].transpose(1, 0, 2).reshape(l_c * H, C))
+        if c0 == 0:  # chunk 0 selects nothing
+            return np.zeros((H, T, 0), dtype=np.int64), recorded
         if reuse:
-            return self._layer0_encode_ids[c], scores
+            return self._layer0_encode_ids[c0], recorded
 
-        if base == "no-first":
-            mandatory = np.array([last], dtype=np.int64)
-            take = min(k - 1, cand_ids.size)
-        else:
-            mandatory = (
-                np.array([first, last], dtype=np.int64)
-                if first != last
-                else np.array([first], dtype=np.int64)
-            )
-            take = min(k - 2, cand_ids.size)
+        # ids run [0,] the picks, ascending, then chunk c - 1: every pick
+        # lies strictly between the first chunk and chunk c - 1
+        keep_first = base != "no-first" and c0 > 1
+        take = n_sel - 1 - keep_first
 
         if take == 0:
-            picked = np.zeros((H, l_c, 0), dtype=np.int64)
+            picked = np.zeros((H, T, 0), dtype=np.int64)
         elif base in ("top-k", "no-first"):
+            # chunk c ranks its own candidates, columns 0..c-3 of the group's
+            limit = last - 1 if c1 - c0 > 1 else None
             if policy in ("fix-head", "fix-head-and-layer"):
-                pos = rank_top(scores[0], take)
-                picked = np.broadcast_to(cand_ids[pos], (H, l_c, take))
+                picked = 1 + rank_top(scores[0], take, limit)
             else:
-                picked = cand_ids[rank_top(scores, take)]
+                picked = 1 + rank_top(scores, take, limit)
         elif base == "last-k":
-            tail = cand_ids[-take:]
-            picked = np.broadcast_to(tail, (H, l_c, take))
+            picked = (last - take)[:, None] + np.arange(take)
         elif base == "random":
-            picked = np.empty((H, l_c, take), dtype=np.int64)
-            for head in range(H):
-                for j in range(l_c):
+            picked = np.empty((H, T, take), dtype=np.int64)
+            token0 = c0 * cfg.chunk_size
+            for j in range(T):
+                cand_ids = np.arange(1, last[j], dtype=np.int64)
+                for head in range(H):
                     rng = np.random.default_rng([cfg.seed, layer, head, token0 + j])
                     picked[head, j] = rng.choice(cand_ids, size=take, replace=False)
         else:  # pragma: no cover
             raise AssertionError(base)
 
-        mand = np.broadcast_to(mandatory, (H, l_c, mandatory.size))
-        ids = np.sort(np.concatenate([picked, mand], axis=-1), axis=-1)
+        ids = np.empty((H, T, n_sel), dtype=np.int64)
+        ids[..., 0] = 0
+        ids[..., keep_first:-1] = np.sort(picked, axis=-1)
+        ids[..., -1] = last
         if policy in ("fix-layer", "fix-head-and-layer") and layer == 0:
-            self._layer0_encode_ids[c] = ids
-        return ids, scores if self.record_scores else None
+            self._layer0_encode_ids[c0] = ids
+        return ids, recorded
 
     # -- generation --------------------------------------------------------
 
@@ -441,10 +466,25 @@ class Engine:
         return out
 
 
-def _encode_groups(bounds, block_ids, l):
-    """(l_c, start, end, ids) of each run of consecutive chunks, of l_c
-    tokens each, that encode attends in one call; ids (H, end - start,
-    n_sel) holds the run's selections.
+def _encode_widths(config, m) -> np.ndarray:
+    """The width n_sel of each of m chunks' encode selections: chunk c keeps
+    its mandatory chunks and picks as many of its c - 2 candidates as the
+    rest of k allows. Chunk 0 selects nothing, and chunk 1's first chunk is
+    its last."""
+    c = np.arange(m)
+    candidates = np.maximum(c - 2, 0)
+    k = config.num_selected
+    if config.policy == "no-first":  # chunk c - 1, and k - 1 picks
+        widths = 1 + np.minimum(k - 1, candidates)
+    else:  # chunks 0 and c - 1, and k - 2 picks
+        widths = np.minimum(c, 2) + np.minimum(k - 2, candidates)
+    widths[0] = 0
+    return widths
+
+
+def _encode_groups(bounds, widths, l):
+    """(c0, c1) of each run of consecutive chunks c0..c1-1 that encode
+    selects and attends at once.
 
     Chunks of the same length and width group until the run reads about
     GROUP_READ_ROWS rows, and a chunk that reads more runs alone: one
@@ -452,13 +492,13 @@ def _encode_groups(bounds, block_ids, l):
     batch.
     """
     first = 0
-    for (l_c, n_sel), run in groupby((end - start, ids.shape[-1])
-                                     for (start, end), ids in zip(bounds, block_ids)):
+    for (l_c, n_sel), run in groupby(
+        (end - start, int(n_sel)) for (start, end), n_sel in zip(bounds, widths)
+    ):
         past = first + sum(1 for _ in run)
         size = max(1, GROUP_READ_ROWS // max(l_c * n_sel * l, 1))
         for i in range(first, past, size):
-            j = min(i + size, past)
-            yield l_c, bounds[i][0], bounds[j - 1][1], np.concatenate(block_ids[i:j], axis=1)
+            yield i, min(i + size, past)
         first = past
 
 

@@ -16,35 +16,87 @@ import numpy as np
 
 from .config import CONSTRAINT_POLICIES, SELECTION_POLICIES
 
-# Rows of at most this many scores keep the full stable argsort; longer
-# rows take an exact partition top-k. Below it the partition's fixed cost
-# outweighs the sort it saves: on 16-row encode blocks it wins from about
-# 62 scores, on 4-row decode rows only past about 256 (see CHANGES.md).
-PARTITION_MIN_LENGTH = 64
+# rank_top ranks a block of rows of C scores by a stable argsort when
+# C <= ARGSORT_MAX_LENGTH or the block holds at most ARGSORT_MAX_SCORES
+# scores, else by a threshold top-k. The argsort's cost per score grows with
+# C; the threshold's is flatter but has a fixed part, which pays off sooner
+# the more rows share it: on 4-row decode blocks from about 256 scores a
+# row, on 64-row encode blocks from about 40. scripts/rank_top_shapes.py
+# times both paths (see CHANGES.md).
+ARGSORT_MAX_LENGTH = 64
+ARGSORT_MAX_SCORES = 1024
 
 
-def rank_top(scores: np.ndarray, take: int) -> np.ndarray:
+def rank_top(scores: np.ndarray, take: int, limit=None) -> np.ndarray:
     """Positions of the `take` best scores along the last axis, in rank
-    order; ties go to the lower position. Leading axes are treated as batch
-    dimensions."""
+    order; ties go to the lower position and NaN ranks last. Leading axes
+    are treated as batch dimensions.
+
+    `limit`, if given, broadcasts against the leading axes: each row ranks
+    only its first `limit` positions, as if the rest were sliced off. Every
+    row must keep at least `take` of them.
+    """
     count = scores.shape[-1]
     take = max(0, min(take, count))
-    if count <= PARTITION_MIN_LENGTH or take == 0:
-        return np.argsort(-scores, axis=-1, kind="stable")[..., :take]
-    flat = scores.reshape(-1, count)
-    rows = np.arange(flat.shape[0])[:, None]
-    # the copy lets the (rows, count) partition indices go at once
-    top = np.argpartition(flat, count - take, axis=-1)[:, count - take :].copy()
-    top.sort(axis=-1)
-    picked = flat[rows, top]
-    top = top[rows, np.argsort(-picked, axis=-1, kind="stable")]
-    # The picked set is the argsort's unless a score outside it ties the
-    # worst pick (the argsort may prefer its lower position) or a NaN is
-    # picked (no score then compares as tied); those rows take the argsort.
-    inexact = (flat >= picked.min(axis=-1, keepdims=True)).sum(axis=-1) != take
-    if inexact.any():
-        top[inexact] = np.argsort(-flat[inexact], axis=-1, kind="stable")[:, :take]
+    if limit is not None:
+        limit = np.broadcast_to(limit, scores.shape[:-1])[..., None]
+    if take == 0 or count <= ARGSORT_MAX_LENGTH or scores.size <= ARGSORT_MAX_SCORES:
+        return _argsort_top(scores, take, limit)
+    rows = scores.size // count
+    flat_limit = None if limit is None else limit.reshape(rows, 1)
+    top = _threshold_top(scores.reshape(rows, count), take, flat_limit)
     return top.reshape(scores.shape[:-1] + (take,))
+
+
+def _argsort_top(scores, take, limit):
+    """The stable argsort of each row's negated scores; positions at or
+    past the row's `limit` rank as NaN, after every other one."""
+    if limit is None:
+        neg = -scores
+    else:
+        neg = np.where(np.arange(scores.shape[-1]) < limit, -scores, np.nan)
+    return np.argsort(neg, axis=-1, kind="stable")[..., :take]
+
+
+def _threshold_top(flat, take, limit):
+    """`np.partition` finds each (rows, C) row's take-th best score, with
+    the positions at or past its `limit` at -inf. The picks are the
+    positions before the limit whose scores are at or above it, in position
+    order from one `flatnonzero`, then ordered by a stable argsort of their
+    scores.
+
+    The picks are the argsort's exactly when a row keeps `take` positions;
+    else a score ties the boundary (the argsort may prefer its lower
+    position) or a NaN was met (no comparison with it holds), and the row
+    takes the argsort.
+    """
+    rows, count = flat.shape
+    part = flat.copy()
+    if limit is not None:
+        # each row's cut-off positions, limit..C-1, as flat positions
+        cut = np.maximum(count - limit[:, 0], 0)
+        ends = np.cumsum(cut)
+        at = np.repeat((np.arange(rows) + 1) * count - ends, cut) + np.arange(ends[-1])
+        part.ravel()[at] = -np.inf
+    part.partition(count - take, axis=-1)
+    row, col = np.divmod(np.flatnonzero(flat >= part[:, count - take, None]), count)
+    if limit is not None:
+        before = col < limit[row, 0]
+        row, col = row[before], col[before]
+    exact = np.bincount(row, minlength=rows) == take
+    inexact = not exact.all()
+    if inexact:
+        keep = exact[row]
+        row, col = row[keep], col[keep]
+    col = col.reshape(-1, take)
+    order = np.argsort(-flat[row.reshape(-1, take), col], axis=-1, kind="stable")
+    picks = col[np.arange(len(col))[:, None], order]
+    if not inexact:
+        return picks
+    top = np.empty((rows, take), dtype=np.intp)
+    top[exact] = picks
+    top[~exact] = _argsort_top(flat[~exact], take, None if limit is None else limit[~exact])
+    return top
 
 
 def select(

@@ -25,9 +25,9 @@ class SelectionTrace:
     int matrix, and the selected chunk ids in an (R, K) matrix padded with
     -1, where K is the widest selection seen. Every selection ranks the
     chunks strictly between the first and the last, 1..C, so a block
-    written with scores keeps them as one (rows, C) float matrix whose
-    column i scores chunk i + 1. `records` rebuilds `TraceRecord` objects
-    on demand.
+    written with scores keeps them as (rows, C) float matrices, one per run
+    of its rows with one C, whose column i scores chunk i + 1. `records`
+    rebuilds `TraceRecord` objects on demand.
 
     `to_json` writes trace.json from the columns in fixed-size blocks of
     rows, byte-identical to `json.dumps(..., sort_keys=True,
@@ -71,17 +71,24 @@ class SelectionTrace:
     def append_block(self, step, layer, head, ids, scores=None) -> None:
         """Append len(ids) rows at once. `step`, `layer` and `head` are ints
         or per-row arrays; `ids` is a (rows, width) id matrix. `scores`, if
-        given, is the rows' (rows, C) matrix of candidate scores; it is
-        kept, not copied."""
+        given, is the rows' (rows, C) matrix of candidate scores, or a list
+        of such matrices, each with its own C, for consecutive runs of the
+        rows; they are kept, not copied."""
         ids = np.asarray(ids, dtype=np.int64)
         if len(ids) == 0:
             return
         self._flush()
         if scores is not None:
-            scores = np.asarray(scores, dtype=np.float64)
-            if scores.ndim != 2 or len(scores) != len(ids):
-                raise ValueError(f"scores must be a ({len(ids)}, C) matrix, got {scores.shape}")
-            self._score_blocks.append((self._n, scores))
+            blocks = [np.asarray(b, dtype=np.float64)
+                      for b in (scores if isinstance(scores, list) else [scores])]
+            shapes = [b.shape for b in blocks]
+            if any(len(shape) != 2 for shape in shapes) or sum(map(len, blocks)) != len(ids):
+                raise ValueError(f"scores must be (rows, C) matrices of {len(ids)} rows in all, "
+                                 f"got {shapes}")
+            r = self._n
+            for block in blocks:
+                self._score_blocks.append((r, block))
+                r += len(block)
         self._write(step, layer, head, ids.shape[1], ids)
 
     def _flush(self) -> None:

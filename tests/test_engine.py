@@ -286,46 +286,57 @@ def test_record_scores_with_layer_sharing(tiny_model):
 
 @pytest.mark.parametrize("policy", ["top-k", "no-first"])
 def test_recorded_encode_scores_match_per_head_products(tiny_model, policy):
-    # Each encode block is scored by one batched product straight into the
-    # array the trace keeps. Every row must match its head's own
-    # reprs[h, 1:c-1] @ q, and wherever the reference has no near tie at the
-    # cut, the block must pick the reference's top chunks.
+    # Each encode group is scored straight into one array, whose per-chunk
+    # views the trace keeps. Every row must match its
+    # head's own reprs[h, 1:c-1] @ q, and wherever the reference has no near
+    # tie at the cut, the group must pick the reference's top chunks.
     from chunkattn.selection import rank_top
 
-    l, k, n = 8, 4, 8 * 90 + 5  # up to 87 candidates: both rank_top branches
+    l, k, n = 8, 4, 8 * 90 + 5  # up to 87 candidates: both rank_top paths
     H = tiny_model.config.n_heads
     engine = make_engine(tiny_model, l=l, k=k, policy=policy, record_scores=True)
-    select_ids, blocks = engine._encode_selection_ids, []
+    select_ids, groups = engine._encode_selection, []
 
-    def keeping(layer, c, l_c, token0, reprs, q_blk):
-        ids, scores = select_ids(layer, c, l_c, token0, reprs, q_blk)
-        blocks.append((layer, c, token0, q_blk, reprs[:, 1 : c - 1].copy(), ids, scores))
-        return ids, scores
+    def keeping(layer, c0, c1, l_c, n_sel, reprs, q):
+        ids, recorded = select_ids(layer, c0, c1, l_c, n_sel, reprs, q)
+        cands = reprs[:, 1 : max(c1 - 2, 1)].copy()
+        groups.append((layer, c0, c1, l_c, q, cands, ids, recorded))
+        return ids, recorded
 
-    engine._encode_selection_ids = keeping
+    engine._encode_selection = keeping
     engine.encode(random_tokens(n))
     held = dict(engine.trace.score_blocks)
-    assert len(blocks) == 2 * (n // l)
+    assert sum(c1 - c0 for _, c0, c1, *_ in groups) == 2 * engine.layout.m
+    assert max(c1 - c0 for _, c0, c1, *_ in groups) > 1
     checked = total = 0
-    for layer, c, token0, q_blk, cands, ids, scores in blocks:
-        l_c, C = q_blk.shape[1], max(c - 2, 0)
-        ref = np.array([[cands[h] @ q for q in q_blk[h]] for h in range(H)]).reshape(H, l_c, C)
-        assert scores.shape == (H, l_c, C)
-        assert np.abs(scores - ref).max(initial=0.0) <= 1e-12
-        kept = held[(layer * n + token0) * H]
-        np.testing.assert_array_equal(kept, scores.transpose(1, 0, 2).reshape(l_c * H, C))
-        assert C == 0 or np.shares_memory(kept, scores)
-        mandatory = [c - 1] if policy == "no-first" else sorted({0, c - 1})
-        take = min(k - len(mandatory), C)
-        picked = np.arange(1, c - 1)[rank_top(ref, take)]
-        expected = np.sort(np.concatenate(
-            [picked, np.broadcast_to(mandatory, (H, l_c, len(mandatory)))], axis=-1), axis=-1)
-        ranked = -np.sort(-ref, axis=-1)
-        margin = (ranked[..., take - 1] - ranked[..., take] if 0 < take < C
-                  else np.full((H, l_c), np.inf))
-        clear = margin > 1e-9
-        np.testing.assert_array_equal(ids[clear], expected[clear])
-        checked, total = checked + clear.sum(), total + clear.size
+    for layer, c0, c1, l_c, q, cands, group_ids, recorded in groups:
+        assert len(recorded) == c1 - c0
+        # one product fills the group: the trace keeps views of one buffer
+        assert len({id(scores.base) for scores in recorded if scores.size}) <= 1
+        for i, (c, scores) in enumerate(zip(range(c0, c1), recorded)):
+            C = max(c - 2, 0)
+            q_blk = q[:, i * l_c : (i + 1) * l_c]
+            ids = group_ids[:, i * l_c : (i + 1) * l_c]
+            ref = np.array([[cands[h, :C] @ row for row in q_blk[h]] for h in range(H)])
+            ref = ref.reshape(H, l_c, C)
+            assert scores.shape == (l_c * H, C)
+            assert held[(layer * n + c * l) * H] is scores
+            token_major = ref.transpose(1, 0, 2).reshape(l_c * H, C)
+            assert np.abs(scores - token_major).max(initial=0.0) <= 1e-12
+            if c == 0:
+                assert ids.shape == (H, l_c, 0)
+                continue
+            mandatory = [c - 1] if policy == "no-first" else sorted({0, c - 1})
+            take = min(k - len(mandatory), C)
+            picked = np.arange(1, c - 1)[rank_top(ref, take)]
+            expected = np.sort(np.concatenate(
+                [picked, np.broadcast_to(mandatory, (H, l_c, len(mandatory)))], axis=-1), axis=-1)
+            ranked = -np.sort(-ref, axis=-1)
+            margin = (ranked[..., take - 1] - ranked[..., take] if 0 < take < C
+                      else np.full((H, l_c), np.inf))
+            clear = margin > 1e-9
+            np.testing.assert_array_equal(ids[clear], expected[clear])
+            checked, total = checked + clear.sum(), total + clear.size
     assert checked > 0.99 * total
 
 
@@ -696,6 +707,83 @@ def wide_model():
         n_layers=2, n_heads=4, d_head=8, vocab_size=64, pretrain_length=1024, seed=7))
 
 
+def _encode_rows(trace, n):
+    """The encode rows of a trace: a mask of rows with step < n."""
+    return np.asarray(trace.step) < n
+
+
+@pytest.mark.parametrize("policy", ["top-k", "no-first", "fix-head"])
+def test_encode_groups_rank_past_64_candidates_within_each_chunk(wide_model, policy):
+    # l = 16, k = 8: full chunks group by 8 and the last ones rank up to 82
+    # candidates, so groups of many rows take rank_top's threshold path with
+    # per-chunk column limits. Each row must hold its mandatory chunks plus
+    # the stable-argsort top picks of its own recorded scores (head 0's
+    # under fix-head), and the same ids as a run that records no scores.
+    l, k = 16, 8
+    n = 16 * 84 + 5
+    H = wide_model.config.n_heads
+    engine = make_engine(wide_model, l=l, k=k, policy=policy, record_scores=True)
+    engine.encode(random_tokens(n))
+    plain = make_engine(wide_model, l=l, k=k, policy=policy)
+    plain.encode(random_tokens(n))
+    encode = _encode_rows(engine.trace, n)
+    np.testing.assert_array_equal(engine.trace.chunk_ids[encode], plain.trace.chunk_ids[encode])
+    np.testing.assert_array_equal(engine.trace.width[encode], plain.trace.width[encode])
+    records = [rec for rec in engine.trace.records if rec.step < n]
+    assert len(records) == 2 * n * H
+    for i, rec in enumerate(records):
+        c = rec.step // l
+        assert rec.candidates == tuple(range(1, max(c - 2, 0) + 1))
+        if c == 0:
+            assert rec.chunks == ()
+            continue
+        ranked = rec.scores
+        if policy == "fix-head":
+            ranked = records[i - rec.head].scores  # rows are token-major
+        mandatory = {c - 1} if policy == "no-first" else {0, c - 1}
+        take = min(k - len(mandatory), c - 2) if c > 1 else 0
+        top = np.argsort(-np.array(ranked), kind="stable")[:take] + 1
+        assert rec.chunks == tuple(sorted(mandatory | set(top.tolist())))
+
+
+def test_nan_query_ranks_only_its_own_chunks_in_a_group(wide_model, monkeypatch):
+    # Token t opens chunk 16, the first of a group of 8 that ranks against
+    # chunk 23's 21 candidates, 7 of them beyond chunk 16's own. A NaN query
+    # makes every score of t's rows NaN: they must rank t's own candidates in
+    # position order (NaN ranks last, and nothing past chunk 15 ranks at
+    # all), and encode must then fail on the non-finite state.
+    l, k, n, t = 16, 8, 16 * 40, 16 * 16
+    H = wide_model.config.n_heads
+    engine = make_engine(wide_model, l=l, k=k)
+    project, bulk_append = wide_model.project_heads, engine.store.bulk_append
+
+    def nan_query(layer, x):
+        Q, K, V = project(layer, x)
+        if layer == 0:
+            Q[:, t] = np.nan
+        return Q, K, V
+
+    def clean_summaries(layer, Q, K, V, K_rot):
+        # the chunk summaries stay finite, so that selection sees the NaN
+        return bulk_append(layer, np.nan_to_num(Q), K, V, K_rot)
+
+    monkeypatch.setattr(wide_model, "project_heads", nan_query)
+    monkeypatch.setattr(engine.store, "bulk_append", clean_summaries)
+    with pytest.raises(FloatingPointError):
+        engine.encode(random_tokens(n))
+    import chunkattn.engine as engine_module
+
+    widths = engine_module._encode_widths(engine.config, engine.layout.m)
+    assert (16, 24) in engine_module._encode_groups(engine.layout.bounds, widths, l)
+    trace = engine.trace
+    rows = (np.asarray(trace.layer) == 0) & (np.asarray(trace.step) == t)
+    assert rows.sum() == H
+    c = t // l
+    for ids in trace.chunk_ids[rows]:
+        assert ids.max() <= c - 1
+        assert ids.tolist() == [0, 1, 2, 3, 4, 5, 6, c - 1]
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 def test_encode_layouts_agree_for_every_policy(wide_model, policy, monkeypatch, tmp_path):
     import chunkattn.engine as engine_module
@@ -704,8 +792,9 @@ def test_encode_layouts_agree_for_every_policy(wide_model, policy, monkeypatch, 
     l, k, n, steps = 16, 8, 20 * 16 + 9, 60
     default = engine_module.GROUP_READ_ROWS
 
-    def run(group_read_rows):
+    def run(group_read_rows, select_block_scores=engine_module.SELECT_BLOCK_SCORES):
         monkeypatch.setattr(engine_module, "GROUP_READ_ROWS", group_read_rows)
+        monkeypatch.setattr(engine_module, "SELECT_BLOCK_SCORES", select_block_scores)
         engine = make_engine(wide_model, l=l, k=k, policy=policy, residency="budget",
                              budget=(k + 1) * l)
         logits = engine.encode(random_tokens(n))
@@ -719,6 +808,11 @@ def test_encode_layouts_agree_for_every_policy(wide_model, policy, monkeypatch, 
     assert chunk_by_chunk[0] == grouped[0]
     for a, b in zip(chunk_by_chunk[1:], grouped[1:]):
         assert np.abs(a - b).max() < 1e-12
+    # whole groups attend, but select a chunk at a time
+    selected_by_chunk = run(default, select_block_scores=1)
+    assert selected_by_chunk[0] == grouped[0]
+    for a, b in zip(selected_by_chunk[1:], grouped[1:]):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("l", [16, 64])

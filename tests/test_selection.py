@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chunkattn import select
-from chunkattn.selection import PARTITION_MIN_LENGTH, rank_top
+from chunkattn.selection import ARGSORT_MAX_LENGTH, ARGSORT_MAX_SCORES, rank_top
 
 
 def reprs_with_scores(query, scored):
@@ -206,19 +206,30 @@ def test_raising_a_selected_chunks_score_never_evicts_it(seed):
     assert target in chunks2
 
 
-# Row lengths on both sides of PARTITION_MIN_LENGTH, so both the argsort and
-# the partition path are drawn, under (C,), (H, C) and (H, t, C) batches.
+# Row lengths on both sides of ARGSORT_MAX_LENGTH, under (C,), (H, C),
+# (H, t, C) and encode-group-sized (4, 128, C) batches, so blocks on both
+# sides of ARGSORT_MAX_SCORES draw both the argsort and the threshold path.
 _row_length = st.one_of(st.integers(0, 12), st.integers(0, 600))
+_shapes = st.one_of(
+    st.tuples(_row_length),
+    st.tuples(st.integers(1, 4), _row_length),
+    st.tuples(st.integers(1, 4), st.integers(1, 16), _row_length),
+    st.tuples(st.just(4), st.just(128), st.integers(0, 160)),
+)
+
+
+def _expected_order(scores):
+    """Each row's positions sorted by (-score, position), in Python."""
+    return {
+        batch: sorted(range(scores.shape[-1]), key=lambda i, row=scores[batch]: (-row[i], i))
+        for batch in np.ndindex(scores.shape[:-1])
+    }
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
-    shape=st.one_of(
-        st.tuples(_row_length),
-        st.tuples(st.integers(1, 4), _row_length),
-        st.tuples(st.integers(1, 4), st.integers(1, 16), _row_length),
-    ),
+    shape=_shapes,
     spread=st.sampled_from([3, 50, 10**6]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -233,10 +244,7 @@ def test_rank_top_ties_go_to_lower_position(data, shape, spread, seed):
     else:
         drawn = data.draw(st.lists(st.integers(0, length + 1), max_size=4))
         takes = sorted({0, 1, 6, length - 1, length, length + 1, *drawn})
-    expected_order = {
-        batch: sorted(range(length), key=lambda i, row=scores[batch]: (-row[i], i))
-        for batch in np.ndindex(shape[:-1])
-    }
+    expected_order = _expected_order(scores)
     for take in takes:
         got = rank_top(scores, take)
         np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[..., :take])
@@ -244,17 +252,53 @@ def test_rank_top_ties_go_to_lower_position(data, shape, spread, seed):
             assert list(got[batch]) == expected_order[batch][:take]
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=_shapes.filter(lambda shape: len(shape) > 1 and shape[-1] > 0),
+    take=st.integers(0, 8),
+    spread=st.sampled_from([3, 10**6]),
+    nan=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_top_limit_ranks_each_rows_own_prefix(shape, take, spread, nan, seed):
+    # As an encode group ranks: row r keeps only its first limit[r] scores,
+    # at least `take` of them, and must rank as if the rest were sliced off,
+    # NaN scores included (they rank last, and before no cut-off position).
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-spread, spread + 1, size=shape).astype(np.float64)
+    if nan:
+        scores[rng.random(shape) < 0.3] = np.nan
+        scores.reshape(-1, shape[-1])[0] = np.nan
+    take = min(take, shape[-1])
+    limit = rng.integers(take, shape[-1] + 1, size=shape[1:-1])  # broadcast over heads
+    got = rank_top(scores, take, limit)
+    assert got.shape == shape[:-1] + (take,)
+    for batch in np.ndindex(shape[:-1]):
+        row = scores[batch][: limit[batch[1:]]]
+        np.testing.assert_array_equal(got[batch], np.argsort(-row, kind="stable")[:take])
+
+
 def test_rank_top_partition_path_handles_nan_and_inf():
     rng = np.random.default_rng(5)
-    scores = rng.normal(size=(6, PARTITION_MIN_LENGTH + 40))
+    scores = rng.normal(size=(6, ARGSORT_MAX_LENGTH + ARGSORT_MAX_SCORES // 6 + 1))
     scores[0, 3] = np.nan  # outside the top picks
     scores[1, :8] = np.nan  # NaNs rank last under the argsort
     scores[2, 10] = np.inf
     scores[3, [4, 9]] = -np.inf
     scores[4, [2, 7, 30]] = scores[4].max() + 1.0  # a tie among the picks
+    scores[5] = np.nan
     for take in (1, 6, 20):
         got = rank_top(scores, take)
         np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[:, :take])
+    # Past a limit, scores above every kept one; with two NaNs before it,
+    # row 0's kept scores and the cut-off ones add up to exactly `take`.
+    limit = scores.shape[1] - 2
+    scores[:, limit:] = 1e9
+    scores[0, [5, 9]] = np.nan
+    for take in (1, 6, 20):
+        got = rank_top(scores, take, limit)
+        expected = np.argsort(-scores[:, :limit], axis=-1, kind="stable")[:, :take]
+        np.testing.assert_array_equal(got, expected)
 
 
 @settings(max_examples=100, deadline=None)

@@ -63,8 +63,10 @@ def wide(small):
 @st.composite
 def trace_ops(draw):
     """A chunk count m and a list of single appends and block writes. A
-    scored block carries a (rows, C) score matrix; column i scores chunk
-    i + 1. Some cases hold only scored blocks, so hit rates are defined."""
+    scored block carries a (rows, C) score matrix, or a list of two such
+    matrices for consecutive runs of its rows, each with its own C; column
+    i scores chunk i + 1. Some cases hold only scored blocks, so hit rates
+    are defined."""
     m = draw(st.integers(1, 12))
     k = draw(st.integers(0, 6))
     ids = wide(st.integers(-1, m + 3))
@@ -88,7 +90,12 @@ def trace_ops(draw):
         rows = [tuple(draw(st.lists(ids, min_size=width, max_size=width))) for _ in range(count)]
         scores = None
         if only_scored or draw(st.booleans()):
-            scores = draw(hnp.arrays(np.float64, (count, draw(sizes)), elements=values))
+            cut = draw(st.integers(0, count)) if draw(st.booleans()) else None
+            if cut is None:
+                scores = draw(hnp.arrays(np.float64, (count, draw(sizes)), elements=values))
+            else:
+                scores = [draw(hnp.arrays(np.float64, (n, draw(sizes)), elements=values))
+                          for n in (cut, count - cut)]
         ops.append(("block", step, draw(units), heads, width, rows, scores))
     return m, ops
 
@@ -174,11 +181,13 @@ def test_columnar_trace_matches_per_record_reference(case, tmp_path_factory):
             _, step, layer, heads, width, rows, scores = op
             ids = np.array(rows, dtype=np.int64).reshape(len(rows), width)
             trace.append_block(step, layer, np.array(heads, dtype=np.int64), ids, scores)
+            runs = scores if isinstance(scores, list) else [scores] * (scores is not None)
+            row_scores = [row for run in runs for row in run.tolist()]
             for i, (head, chunks) in enumerate(zip(heads, rows)):
                 rec = TraceRecord(step, layer, head, chunks)
-                if scores is not None:
-                    rec.candidates = tuple(range(1, scores.shape[1] + 1))
-                    rec.scores = tuple(scores[i].tolist())
+                if row_scores:
+                    rec.candidates = tuple(range(1, len(row_scores[i]) + 1))
+                    rec.scores = tuple(row_scores[i])
                 expected.append(rec)
 
     assert len(trace) == len(expected)

@@ -3,7 +3,8 @@
 
 Decode ranks one (H, C) block per layer and encode one (H, T, C) block per
 chunk group, T tokens of H heads. For H = 4, each C in CANDIDATES and each
-T in TOKENS, it times the stable argsort path, the threshold path and
+T in TOKENS, and the short rows of each C in SHORT_CANDIDATES and T in
+SHORT_TOKENS, it times the stable argsort path, the threshold path and
 `rank_top` itself on normal random scores, taking the k - 2 best as encode
 and decode do, and prints the best of several repeats in µs per call.
 These timings are the evidence for `rank_top`'s choice of path, which the
@@ -22,6 +23,9 @@ from chunkattn import selection
 HEADS = 4
 CANDIDATES = (62, 128, 256, 510, 1000)
 TOKENS = (16, 128)
+# Encode's early chunks rank few candidates in blocks of many rows.
+SHORT_CANDIDATES = (16, 30, 62)
+SHORT_TOKENS = (64, 128)
 
 
 def path(rank):
@@ -65,7 +69,8 @@ def main() -> None:
     print("|---|" + "---|" * len(PATHS))
     shapes = [(HEADS, c) for c in CANDIDATES]
     shapes += [(HEADS, t, c) for t in TOKENS for c in CANDIDATES]
-    for shape in shapes:
+    shapes += [(HEADS, t, c) for t in SHORT_TOKENS for c in SHORT_CANDIDATES]
+    for shape in dict.fromkeys(shapes):  # each shape once
         scores = rng.normal(size=shape)
         cells = [f"{time_call(fn, scores, take, args.repeats):,.1f}" for fn in PATHS.values()]
         print(f"| {shape} | " + " | ".join(cells) + " |")

@@ -135,8 +135,9 @@ class Engine:
         Q, K, V and attention output are dropped as soon as they are dead.
         So beyond what encode keeps (the store's slabs and summaries, the
         trace rows and the logits), its peak memory is the hidden state,
-        one layer's (H, n, d_head) Q, V, rotated K and attention output,
-        and one block's scratch.
+        one layer's (H, n, d_head) Q, V, rotated K (held as transposed
+        chunks once the store has its copy) and attention output, and one
+        block's or one group's scratch.
         """
         mc = self.model.config
         cfg = self.config
@@ -187,12 +188,18 @@ class Engine:
         stored so. A token j of a chunk that selected n_sel chunks sits at
         n_sel*l + j and its slot s at s*l + r, so its query is rotated once
         per slot, to (n_sel - s)*l + j, since R(a)q . R(b)k = R(a - c)q .
-        R(b - c)k. Every head's reads are sorted by chunk into pages of
-        PAGE_ROWS query rows, and each page reads its chunk's slab once.
+        R(b - c)k: one `rope.apply` call per group broadcasts its (H, G,
+        l_c, d) queries over (n_sel + 1, l_c) positions, with no copy of
+        the queries per slot. Every head's reads are sorted by chunk into
+        pages of PAGE_ROWS query rows, and each page reads its chunk's slab
+        once, its keys transposed.
 
         The layer's Q, K and V are projected here, and K, whose last use is
         the chunk summaries, is dropped before attention; keys are rotated
-        in blocks of `model.DENSE_BLOCK_ROWS` rows.
+        in blocks of `model.DENSE_BLOCK_ROWS` rows. Once the store holds
+        them, the complete chunks' rotated keys are copied into one
+        C-contiguous (H, m, d, l) array, the pages' and own chunks' keys,
+        and of the rotated rows only the partial last chunk's are kept.
         """
         l = self.config.chunk_size
         H, d = self.model.config.n_heads, self.model.config.d_head
@@ -207,7 +214,12 @@ class Engine:
         del K  # the summaries were its last use
         reprs = self.store.layer_reprs(layer)
         n_full = self.layout.m_complete * l
-        k_chunks = K_rot[:, :n_full].reshape(H, -1, l, d)
+        # every complete chunk's keys transposed, (H, m, d, l), so that a
+        # page's scores are one contiguous gemm; of K_rot only the partial
+        # last chunk's rows are kept
+        k_chunks = np.ascontiguousarray(K_rot[:, :n_full].reshape(H, -1, l, d).swapaxes(-1, -2))
+        k_tail = K_rot[:, n_full:].copy()
+        del K_rot
         v_chunks = V[:, :n_full].reshape(H, -1, l, d)
         mask = causal_mask(l, l)
         attn = np.empty_like(Q)
@@ -225,23 +237,23 @@ class Engine:
                 self._record_block(layer, a, block, scores)
                 ids.append(block)
             self._note_encode_window(n_sel * l + l_c)
-            groups.append((c1 - c0, l_c, start, end, np.concatenate(ids, axis=1)))
-        for G, l_c, start, end, ids in groups:
-            n_sel = ids.shape[-1]
-            at = (np.arange(n_sel, -1, -1)[:, None] * l + np.arange(end - start) % l_c).ravel()
-            q_rot = rope.apply(np.tile(Q[:, start:end], (1, n_sel + 1, 1)), at)
-            q_rot = q_rot.reshape(H, n_sel + 1, end - start, d)
+            groups.append((c0, c1, l_c, start, end, np.concatenate(ids, axis=1)))
+        for c0, c1, l_c, start, end, ids in groups:
+            G, n_sel = c1 - c0, ids.shape[-1]
+            own = (H, G, l_c, d)
+            # (H, G, n_sel + 1, l_c, d): slot s of token j at (n_sel - s)*l + j
+            at = np.arange(n_sel, -1, -1)[:, None] * l + np.arange(l_c)
+            q_rot = rope.apply(Q[:, start:end].reshape(own), at)
             # slab h * len(bounds) + c is chunk c of head h
             page_slab, read_at = page_table(ids + np.arange(H)[:, None, None] * len(bounds))
             head, chunk = np.divmod(page_slab, len(bounds))
+            read_at = read_at.reshape(H, G, l_c, n_sel)
             q_pages = np.zeros((page_slab.size, PAGE_ROWS, d))
-            q_pages.reshape(-1, d)[read_at.transpose(0, 2, 1)] = q_rot[:, :n_sel]
-            pages = (q_pages, k_chunks[head, chunk], v_chunks[head, chunk],
-                     read_at.reshape(H, G, l_c, n_sel))
-            own = (H, G, l_c, d)
+            q_pages.reshape(-1, d)[read_at.transpose(0, 1, 3, 2)] = q_rot[:, :, :n_sel]
+            pages = (q_pages, k_chunks[head, chunk], v_chunks[head, chunk], read_at)
+            k_own = k_tail[:, None] if l_c < l else k_chunks[:, c0:c1].swapaxes(-1, -2)
             attn[:, start:end] = attend_paged(
-                q_rot[:, n_sel].reshape(own), K_rot[:, start:end].reshape(own),
-                V[:, start:end].reshape(own), mask[:l_c, :l_c], pages,
+                q_rot[:, :, n_sel], k_own, V[:, start:end].reshape(own), mask[:l_c, :l_c], pages,
             ).reshape(H, -1, d)
         return attn
 
@@ -260,7 +272,7 @@ class Engine:
         self.trace.append_block(
             np.repeat(np.arange(token0, token0 + T), H),
             layer,
-            np.tile(np.arange(H), T),
+            np.arange(T * H) % H,
             ids.transpose(1, 0, 2).reshape(T * H, ids.shape[-1]),
             scores,
         )

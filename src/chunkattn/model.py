@@ -81,12 +81,14 @@ def attend_paged(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, pages) -> np
 
     q (..., t, d) attends its own rows k, v (..., n, d) under `mask`, as
     in `attend`, plus S slots of l rows each. `pages = (q_pages, k_pages,
-    v_pages, read_at)`: k_pages, v_pages (P, l, d) hold one slab per page
-    and q_pages (P, R, d) up to R queries that read it, each rotated for
-    its slot; read_at (..., t, S) is the flat row of (P, R) holding slot
-    s of query i (see `page_table`). Rows no slot reads are free and may
-    hold anything. Every page is scored against its slab in one batched
-    product, one softmax per query spans its own rows and its S*l slot
+    v_pages, read_at)`: k_pages (P, d, l), transposed, and v_pages (P, l,
+    d) hold one slab per page and q_pages (P, R, d) up to R queries that
+    read it, each rotated for its slot; read_at (..., t, S) is the flat row
+    of (P, R) holding slot s of query i (see `page_table`). Rows no slot
+    reads are free and may hold anything. Every page is scored against its
+    slab in one batched product, which runs as one plain gemm per page when
+    k_pages is C-contiguous (numpy runs a transposed view at about half
+    that speed); one softmax per query spans its own rows and its S*l slot
     rows, and one batched product weighs each page's V; flat-index takes
     put scores and outputs back in query order. So a slab read by several
     queries is copied once per page, not once per query. The softmax is
@@ -99,8 +101,8 @@ def attend_paged(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, pages) -> np
         return attend(q, k, v, mask)
     scale = np.sqrt(q.shape[-1])
     scores = _scores(q, k, mask, scale)
-    l, d = k_pages.shape[-2:]
-    s_pages = q_pages @ k_pages.swapaxes(-1, -2)
+    d, l = k_pages.shape[-2:]
+    s_pages = q_pages @ k_pages
     s_sel = s_pages.reshape(-1, l).take(read_at, axis=0)
     s_sel *= 1 / scale  # a product, several times cheaper than a quotient
     total = _exp_shifted(scores, s_sel.reshape(scores.shape[:-1] + (-1,)))
@@ -210,18 +212,21 @@ class RotaryTable:
         """Rotate rows of `states` at the given positions.
 
         `states` has shape (..., t, d_head); `positions` has length t and
-        broadcasts over any leading axes.
+        broadcasts over any leading axes. Positions of shape (S, t) rotate
+        every row once per slot s, to positions[s], into a new (..., S, t,
+        d_head) array; `rotate_half` runs once per row, and each slot's
+        result is bit for bit that of a call with positions[s] alone.
         """
         states = np.asarray(states, dtype=np.float64)
         positions = np.asarray(positions, dtype=np.intp)
-        if positions.ndim != 1 or positions.shape[0] != states.shape[-2]:
+        if positions.ndim not in (1, 2) or positions.shape[-1] != states.shape[-2]:
             raise ValueError(
                 f"positions length {positions.shape} does not match rows {states.shape[-2]}"
             )
         if states.shape[-1] != self.d_head:
             raise ValueError(f"expected trailing dimension {self.d_head}, got {states.shape[-1]}")
         if positions.size == 0:
-            return states.copy()
+            return np.empty(states.shape[:-2] + positions.shape + states.shape[-1:])
         lo = int(positions.min())
         hi = int(positions.max())
         if lo < 0:
@@ -233,7 +238,12 @@ class RotaryTable:
             )
         cos = self.cos[positions]
         sin = self.sin[positions]
-        return states * cos + rotate_half(states) * sin
+        rotated = rotate_half(states)
+        if positions.ndim == 2:  # the slot axis, before the rows
+            states, rotated = states[..., None, :, :], rotated[..., None, :, :]
+        out = states * cos
+        out += rotated * sin
+        return out
 
 
 @dataclass(frozen=True)

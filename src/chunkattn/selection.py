@@ -21,9 +21,9 @@ from .config import CONSTRAINT_POLICIES, SELECTION_POLICIES
 # scores, else by a threshold top-k. The argsort's cost per score grows with
 # C; the threshold's is flatter but has a fixed part, which pays off sooner
 # the more rows share it: on 4-row decode blocks from about 256 scores a
-# row, on 64-row encode blocks from about 40. scripts/rank_top_shapes.py
-# times both paths (see CHANGES.md).
-ARGSORT_MAX_LENGTH = 64
+# row, on encode's 256- and 512-row blocks from about 20 (at 62, 494 against
+# 161 µs). scripts/rank_top_shapes.py times both paths (see CHANGES.md).
+ARGSORT_MAX_LENGTH = 16
 ARGSORT_MAX_SCORES = 1024
 
 

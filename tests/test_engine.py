@@ -428,7 +428,9 @@ def test_encode_rotates_each_chunk_once_per_slot(tiny_config, policy):
     rows = []
 
     def counting_apply(states, positions):
-        rows.append(np.asarray(states).size // model.config.d_head)
+        # rotated rows: each row of `states` once per slot of `positions`
+        slots = np.asarray(positions).size // np.asarray(states).shape[-2]
+        rows.append(np.asarray(states).size // model.config.d_head * slots)
         return rotate(states, positions)
 
     model.rope.apply = counting_apply
@@ -882,8 +884,11 @@ def test_encode_attends_each_chunk_group_in_one_paged_call(wide_model, l, monkey
             assert read_at.shape == (H, G, l_c, n_sel)
             page = read_at.reshape(H, G * l_c, n_sel) // q_pages.shape[1]
             # each read's page holds the store's slab of the chunk it reads
+            # (keys transposed, (P, d, l), and C-contiguous)
+            assert k_pages.flags.c_contiguous
             for h in range(H):
-                np.testing.assert_array_equal(k_pages[page[h]], slab_k[h][group_ids[h]])
+                np.testing.assert_array_equal(
+                    k_pages[page[h]], slab_k[h][group_ids[h]].swapaxes(-1, -2))
                 np.testing.assert_array_equal(v_pages[page[h]], slab_v[h][group_ids[h]])
             assert np.unique(page).size == k_pages.shape[0] == v_pages.shape[0]
             groups += 1

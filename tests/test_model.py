@@ -97,6 +97,51 @@ def test_rotary_length_mismatch():
         table.apply(np.zeros((3, 8)), [0, 1])
 
 
+def test_rotary_slot_axis_is_bitwise_one_call_per_slot():
+    # positions (S, t) rotate (..., t, d) rows into (..., S, t, d), each
+    # slot exactly as a call with its own row of positions
+    d, l = 8, 16
+    table = RotaryTable(d_head=d, max_positions=8 * l)
+    rng = np.random.default_rng(3)
+    for lead, t, S in (((), 1, 1), ((), 5, 1), ((2,), 1, 4), ((3, 2), l, 5), ((4, 2), 9, 3)):
+        states = rng.normal(size=lead + (t, d)) * 10.0 ** rng.uniform(-3, 3)
+        # slot s of row j at (S - 1 - s)*l + j, as encode lays out a chunk of
+        # t tokens; t = 9 < l is a partial last chunk
+        positions = np.arange(S - 1, -1, -1)[:, None] * l + np.arange(t)
+        out = table.apply(states, positions)
+        assert out.shape == lead + (S, t, d)
+        for s in range(S):
+            np.testing.assert_array_equal(out[..., s, :, :], table.apply(states, positions[s]))
+
+
+def test_rotary_slot_axis_checks_every_position():
+    table = RotaryTable(d_head=8, max_positions=64)
+    rows = np.zeros((2, 3, 8))
+    with pytest.raises(ValueError, match="outside the rotary table"):
+        table.apply(rows, [[0, 1, 2], [3, 64, 5]])
+    with pytest.raises(ValueError, match="negative"):
+        table.apply(rows, [[0, 1, 2], [3, 4, -1]])
+    with pytest.raises(ValueError, match="does not match"):
+        table.apply(rows, [[0, 1], [2, 3]])
+    with pytest.raises(ValueError, match="does not match"):
+        table.apply(rows, np.zeros((1, 2, 3), dtype=int))
+    # empty positions give an empty result of the broadcast shape
+    assert table.apply(rows, np.zeros((0, 3), dtype=int)).shape == (2, 0, 3, 8)
+    assert table.apply(np.zeros((2, 0, 8)), np.zeros((4, 0), dtype=int)).shape == (2, 4, 0, 8)
+    assert table.apply(np.zeros((2, 0, 8)), []).shape == (2, 0, 8)
+
+
+def test_rotary_slot_axis_leaves_states_unchanged():
+    table = RotaryTable(d_head=8, max_positions=64)
+    states = np.random.default_rng(4).normal(size=(2, 5, 8))
+    before = states.copy()
+    states.flags.writeable = False  # a write in place raises
+    out = table.apply(states, np.arange(15).reshape(3, 5))
+    np.testing.assert_array_equal(states, before)
+    out[...] = 0.0  # a new array, not a view of states
+    np.testing.assert_array_equal(states, before)
+
+
 def test_full_attention_single_token(tiny_model):
     logits = full_attention_forward(tiny_model, [3])
     assert logits.shape == (1, tiny_model.config.vocab_size)
@@ -261,7 +306,8 @@ def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows, gain=1.0):
     page_slab, read_at = page_table(slabs, rows)
     q_pages = np.full((page_slab.size, rows, d), np.nan)  # rows no slot reads stay unread
     q_pages.reshape(-1, d)[read_at] = q_sel
-    k_flat, v_flat = chunks_k.reshape(-1, l, d), chunks_v.reshape(-1, l, d)
+    # page keys are transposed, (P, d, l)
+    k_flat, v_flat = chunks_k.reshape(-1, l, d).swapaxes(-1, -2), chunks_v.reshape(-1, l, d)
     paged = (q_pages, k_flat[page_slab], v_flat[page_slab], read_at)
     return per_slot, paged, slabs, page_slab
 

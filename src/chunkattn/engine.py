@@ -4,6 +4,9 @@ Encoding summarizes every complete chunk up front, then lets each token of
 each head attend its selected chunks (laid out from position 0) plus its own
 chunk's causal prefix. Generation repeats the same dance one token at a
 time, gathering selected slabs through the store so loads are counted.
+Both phases read the selected slabs as pages of one `attend` kernel:
+encode's pages are shared by the tokens that read a chunk, decode's each
+hold one slot.
 The full-attention oracle lives alongside for equivalence checks.
 """
 
@@ -23,7 +26,6 @@ from .model import (
     TokenSequence,
     as_token_array,
     attend,
-    attend_paged,
     causal_mask,
     full_attention_forward,
     page_table,
@@ -183,7 +185,8 @@ class Engine:
         one score matrix, filled chunk by chunk, one `rank_top` call and one
         trace block for all its tokens and heads (`_encode_selection`; in
         blocks of whole chunks past SELECT_BLOCK_SCORES scores). Then each
-        group attends in one `attend_paged` call.
+        group attends in one `attend` call with pages laid out by
+        `page_table`.
         Every key is rotated once, by its offset r inside its chunk, and
         stored so. A token j of a chunk that selected n_sel chunks sits at
         n_sel*l + j and its slot s at s*l + r, so its query is rotated once
@@ -252,7 +255,7 @@ class Engine:
             q_pages.reshape(-1, d)[read_at.transpose(0, 1, 3, 2)] = q_rot[:, :, :n_sel]
             pages = (q_pages, k_chunks[head, chunk], v_chunks[head, chunk], read_at)
             k_own = k_tail[:, None] if l_c < l else k_chunks[:, c0:c1].swapaxes(-1, -2)
-            attn[:, start:end] = attend_paged(
+            attn[:, start:end] = attend(
                 q_rot[:, :, n_sel], k_own, V[:, start:end].reshape(own), mask[:l_c, :l_c], pages,
             ).reshape(H, -1, d)
         return attn
@@ -389,7 +392,9 @@ class Engine:
         """One greedy step. Each layer selects, remaps, gathers, rotates and
         attends for all of its heads at once: every head reads k' sealed
         chunks plus the same recent region, so their slabs stack into
-        (H, k', l, d_head) arrays with the query at one shared position."""
+        (H, k', l, d_head) arrays with the query at one shared position.
+        The layer's one `attend` call reads them as pages in the identity
+        layout (read_at None), one page per slot, so no index take runs."""
         mc = self.model.config
         l = self.config.chunk_size
         rope = self.model.rope
@@ -423,11 +428,14 @@ class Engine:
             at[-1] = recent
             rot = rope.apply(np.concatenate([np.repeat(Q, width + 1, axis=1), K], axis=1), at)
             k_self = rot[:, -1:]
+            # page (h, 0, s) holds slot s of head h's one query
+            pages = (rot[:, None, :width, None], k_sel[:, None].swapaxes(-1, -2),
+                     v_sel[:, None], None)
             attn = attend(
                 rot[:, width : width + 1],
                 np.concatenate([k_recent, k_self], axis=1),
                 np.concatenate([v_recent, V], axis=1),
-                sel=(rot[:, None, :width], k_sel[:, None], v_sel[:, None]),
+                pages=pages,
             )
             max_pos = max(max_pos, position)
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo

@@ -23,8 +23,8 @@ ROPE_BASE = 10000.0
 # block's whatever the prompt length. At least 2: see `row_blocks`.
 DENSE_BLOCK_ROWS = 2048
 
-# Query rows per page of `attend_paged`: the reads of one slab fill
-# ceil(reads / PAGE_ROWS) pages.
+# Query rows per page of encode's `attend` pages: the reads of one slab
+# fill ceil(reads / PAGE_ROWS) pages.
 PAGE_ROWS = 16
 
 
@@ -52,71 +52,61 @@ def causal_mask(n_q: int, n_k: int, offset: int = 0) -> np.ndarray:
 
 
 def attend(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None, sel=None
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None = None, pages=None
 ) -> np.ndarray:
     """Scaled softmax attention of queries q (..., t, d) over rows k, v
-    (..., n, d); leading axes (e.g. heads) are batch dimensions.
+    (..., n, d) under the additive `mask`; leading axes (e.g. heads) are
+    batch dimensions. Without `pages` this is softmax(scores) @ v.
 
-    `sel = (q_sel, k_sel, v_sel)` adds S slots of l rows per query:
-    q_sel (..., t, S, d) holds each query as rotated for its slot and
-    k_sel, v_sel (..., t, S, l, d) the slot rows. Both blocks share one
-    softmax, normalised before the V products, so S = 0 gives exactly
-    the result without `sel`. Decode passes this form; encode reads its
-    slots through pages (`attend_paged`).
+    `pages = (q_pages, k_pages, v_pages, read_at)` adds S slots of l rows
+    per query, read through pages that hold one slab each: k_pages (P, d,
+    l), transposed, v_pages (P, l, d) and q_pages (P, R, d), up to R
+    queries that read the slab, each rotated for its slot. read_at (..., t,
+    S) is the flat row of (P, R) holding slot s of query i (see
+    `page_table`); rows no slot reads may hold anything. With read_at None
+    the pages are in the identity layout, page (..., i, s) holding slot s
+    of query i alone: q_pages (..., t, S, 1, d), k_pages (..., t, S, d, l)
+    and v_pages (..., t, S, l, d). Encode passes the first layout, so a
+    slab read by several queries is copied once per page, and decode the
+    second, which skips the index takes.
+
+    Every page is scored against its slab in one batched product (one
+    plain gemm per page when k_pages is C-contiguous; numpy runs a
+    transposed view at about half that speed). One softmax per query spans
+    its own rows and its S*l slot rows; it is exponentiated in place and
+    divided once, on the (..., t, d) output, and no input is written. With
+    no slots (S = 0) this is the plain formula, bit for bit, in either
+    layout.
     """
     scale = np.sqrt(q.shape[-1])
     scores = _scores(q, k, mask, scale)
-    if sel is None:
+    if pages is None:
         return softmax(scores) @ v
-    q_sel, k_sel, v_sel = sel
-    s_sel = q_sel[..., None, :] @ k_sel.swapaxes(-1, -2)
-    s_sel = (s_sel / scale).reshape(scores.shape[:-1] + (-1,))
-    total = _exp_shifted(scores, s_sel)
-    rows = v_sel.reshape(s_sel.shape + v_sel.shape[-1:])
-    return (scores / total) @ v + ((s_sel / total)[..., None, :] @ rows)[..., 0, :]
-
-
-def attend_paged(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, pages) -> np.ndarray:
-    """`attend` with each query's slot rows read through pages.
-
-    q (..., t, d) attends its own rows k, v (..., n, d) under `mask`, as
-    in `attend`, plus S slots of l rows each. `pages = (q_pages, k_pages,
-    v_pages, read_at)`: k_pages (P, d, l), transposed, and v_pages (P, l,
-    d) hold one slab per page and q_pages (P, R, d) up to R queries that
-    read it, each rotated for its slot; read_at (..., t, S) is the flat row
-    of (P, R) holding slot s of query i (see `page_table`). Rows no slot
-    reads are free and may hold anything. Every page is scored against its
-    slab in one batched product, which runs as one plain gemm per page when
-    k_pages is C-contiguous (numpy runs a transposed view at about half
-    that speed); one softmax per query spans its own rows and its S*l slot
-    rows, and one batched product weighs each page's V; flat-index takes
-    put scores and outputs back in query order. So a slab read by several
-    queries is copied once per page, not once per query. The softmax is
-    exponentiated in place and divided once, on the (..., t, d) output;
-    no input is written. With no slots (S = 0) this is `attend` without
-    `sel`, bit for bit.
-    """
     q_pages, k_pages, v_pages, read_at = pages
-    if not read_at.shape[-1]:
-        return attend(q, k, v, mask)
-    scale = np.sqrt(q.shape[-1])
-    scores = _scores(q, k, mask, scale)
+    if not (q_pages.shape[-3] if read_at is None else read_at.shape[-1]):
+        return softmax(scores) @ v
     d, l = k_pages.shape[-2:]
     s_pages = q_pages @ k_pages
-    s_sel = s_pages.reshape(-1, l).take(read_at, axis=0)
+    flat = s_pages.reshape(-1, l)
+    s_sel = flat if read_at is None else flat.take(read_at, axis=0)
     s_sel *= 1 / scale  # a product, several times cheaper than a quotient
-    total = _exp_shifted(scores, s_sel.reshape(scores.shape[:-1] + (-1,)))
-    # The weights overwrite every row a slot reads; the other rows' outputs
-    # are never taken.
-    s_pages.reshape(-1, l)[read_at] = s_sel
+    w_sel = s_sel.reshape(scores.shape[:-1] + (-1,))
+    total = _exp_shifted(scores, w_sel)
     out = scores @ v
-    out += (s_pages @ v_pages).reshape(-1, d).take(read_at, axis=0).sum(-2)
+    if read_at is None:
+        # each query's S*l slot rows weighed in one product
+        out += (w_sel[..., None, :] @ v_pages.reshape(w_sel.shape + (d,)))[..., 0, :]
+    else:
+        # The weights overwrite every row a slot reads; the other rows'
+        # outputs are never taken.
+        flat[read_at] = s_sel
+        out += (s_pages @ v_pages).reshape(-1, d).take(read_at, axis=0).sum(-2)
     out /= total
     return out
 
 
 def page_table(slabs: np.ndarray, rows: int = PAGE_ROWS):
-    """Pages for `attend_paged` of reads of the slabs `slabs` (..., t, S).
+    """Pages for `attend` of reads of the slabs `slabs` (..., t, S).
 
     The reads, in row-major order, are sorted by slab with a stable sort
     and each slab's run is cut into pages of `rows` rows, the last one

@@ -817,23 +817,27 @@ def test_encode_layouts_agree_for_every_policy(wide_model, policy, monkeypatch, 
         assert np.array_equal(a, b)
 
 
+def spy_on_attend(monkeypatch) -> list:
+    """Route the engine's `attend` through a spy that records each call's
+    (q shape, pages) in the returned list."""
+    import chunkattn.engine as engine_module
+
+    attend = engine_module.attend
+    calls = []
+
+    def spying(q, k, v, mask=None, pages=None):
+        calls.append((q.shape, pages))
+        return attend(q, k, v, mask, pages)
+
+    monkeypatch.setattr(engine_module, "attend", spying)
+    return calls
+
+
 @pytest.mark.parametrize("l", [16, 64])
 def test_encode_attends_each_chunk_group_in_one_paged_call(wide_model, l, monkeypatch):
     import chunkattn.engine as engine_module
 
-    calls = []
-
-    def spying(q, k, v, mask=None, sel=None):
-        calls.append(("attend", q.shape, sel))
-        return attend(q, k, v, mask, sel)
-
-    def spying_paged(q, k, v, mask, pages):
-        calls.append(("attend_paged", q.shape, pages))
-        return attend_paged(q, k, v, mask, pages)
-
-    attend, attend_paged = engine_module.attend, engine_module.attend_paged
-    monkeypatch.setattr(engine_module, "attend", spying)
-    monkeypatch.setattr(engine_module, "attend_paged", spying_paged)
+    calls = spy_on_attend(monkeypatch)
     L, H, d = wide_model.config.n_layers, wide_model.config.n_heads, wide_model.config.d_head
     # at l = 16, twelve chunks of width k = 8 make a full group and a short one
     k = 8
@@ -869,10 +873,9 @@ def test_encode_attends_each_chunk_group_in_one_paged_call(wide_model, l, monkey
             # length and width, as many as GROUP_READ_ROWS allows
             l_c, n_sel = blocks[c][:2]
             reads = l_c * n_sel * l
-            kind, q_shape, pages = next(sels)
+            q_shape, pages = next(sels)
             G = q_shape[1]
             group_sizes.add(G)
-            assert kind == "attend_paged"
             assert q_shape == (H, G, l_c, d) and len(pages) == 4
             assert all(b[:2] == (l_c, n_sel) for b in blocks[c : c + G])
             assert G == 1 or G * reads <= engine_module.GROUP_READ_ROWS
@@ -881,7 +884,7 @@ def test_encode_attends_each_chunk_group_in_one_paged_call(wide_model, l, monkey
                         or (G + 1) * reads > engine_module.GROUP_READ_ROWS)
             group_ids = np.concatenate([b[2] for b in blocks[c : c + G]], axis=1)
             q_pages, k_pages, v_pages, read_at = pages
-            assert read_at.shape == (H, G, l_c, n_sel)
+            assert isinstance(read_at, np.ndarray) and read_at.shape == (H, G, l_c, n_sel)
             page = read_at.reshape(H, G * l_c, n_sel) // q_pages.shape[1]
             # each read's page holds the store's slab of the chunk it reads
             # (keys transposed, (P, d, l), and C-contiguous)
@@ -902,10 +905,34 @@ def test_encode_attends_each_chunk_group_in_one_paged_call(wide_model, l, monkey
         # a full chunk reads 32,768 rows, more than a group's, and runs
         # alone; the shorter or narrower chunks each have a shape of their own
         assert group_sizes == {1}
-    for _ in range(3):
+
+
+@pytest.mark.parametrize("n", [9, 20 * 16 + 9])
+def test_decode_attends_each_layer_in_one_identity_paged_call(wide_model, n, monkeypatch):
+    # n = 9 decodes before the first seal, with no slots; n = 329 crosses
+    # the seal at 336
+    l, k = 16, 8
+    L, H, d = wide_model.config.n_layers, wide_model.config.n_heads, wide_model.config.d_head
+    engine = make_engine(wide_model, l=l, k=k)
+    engine.encode(random_tokens(n))
+    calls = spy_on_attend(monkeypatch)
+    trace, store = engine.trace, engine.store
+    for step in range(n, n + 10):
         calls.clear()
         engine.generate(1)
-        assert [(kind, len(sel)) for kind, _, sel in calls] == [("attend", 3)] * L
+        assert len(calls) == L
+        for layer, (q_shape, pages) in enumerate(calls):
+            rows = (trace.step == step) & (trace.layer == layer)
+            width = int(trace.width[rows][0])
+            ids = np.stack([trace.chunk_ids[rows & (trace.head == h)][0, :width]
+                            for h in range(H)])
+            q_pages, k_pages, v_pages, read_at = pages
+            assert q_shape == (H, 1, d) and read_at is None
+            assert q_pages.shape == (H, 1, width, 1, d)
+            slab_k, slab_v = store._K[:, layer].swapaxes(0, 1), store._V[:, layer].swapaxes(0, 1)
+            for h in range(H):
+                np.testing.assert_array_equal(k_pages[h, 0], slab_k[h][ids[h]].swapaxes(-1, -2))
+                np.testing.assert_array_equal(v_pages[h, 0], slab_v[h][ids[h]])
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -6,7 +6,6 @@ from chunkattn.model import (
     PAGE_ROWS,
     RotaryTable,
     attend,
-    attend_paged,
     causal_mask,
     page_table,
     rms_norm,
@@ -228,68 +227,25 @@ def test_attend_without_slots_is_the_plain_formula():
             scores = q @ k.T / np.sqrt(d) + (0.0 if mask is None else mask)
             expected = softmax(scores) @ v
             np.testing.assert_array_equal(attend(q, k, v, mask), expected)
-            # zero slots normalise the same weights the same way
-            empty = (np.zeros((t, 0, d)), np.zeros((t, 0, 5, d)), np.zeros((t, 0, 5, d)))
-            np.testing.assert_array_equal(attend(q, k, v, mask, empty), expected)
+            # zero slots, in either page layout, normalise the same weights
+            # the same way
+            paged = (np.zeros((0, PAGE_ROWS, d)), np.zeros((0, d, 5)), np.zeros((0, 5, d)),
+                     np.zeros((t, 0), dtype=np.intp))
+            identity = (np.zeros((t, 0, 1, d)), np.zeros((t, 0, d, 5)), np.zeros((t, 0, 5, d)),
+                        None)
+            for pages in (paged, identity):
+                np.testing.assert_array_equal(attend(q, k, v, mask, pages), expected)
 
 
-def slot_rows(rng, lead, t, S, l, d, repeats):
-    """A per-slot `sel` for `attend`. Each of the t queries reads S
-    different chunks, picked from S + 1 chunks (heavy repeats) or from t*S
-    (each read once)."""
-    C = S + 1 if repeats else t * S
-    chunks_k, chunks_v = rng.normal(size=(2,) + lead + (C, l, d)) * 3
-    if repeats:
-        ids = rng.random(lead + (t, C)).argsort(-1)[..., :S]
-    else:
-        ids = rng.random(lead + (C,)).argsort(-1).reshape(lead + (t, S))
-    ids = np.sort(ids, axis=-1)
-    at = tuple(np.arange(n).reshape((n, 1, 1)) for n in lead)
-    q_sel = rng.normal(size=lead + (t, S, d))
-    return q_sel, chunks_k[at + (ids,)], chunks_v[at + (ids,)]
-
-
-def test_attend_with_slots_matches_one_concatenated_softmax():
-    rng = np.random.default_rng(6)
-    l = 8
-    drawn = [
-        (tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 2))),
-         int(rng.integers(1, 9)), int(rng.integers(0, 5)), int(rng.integers(1, 6)),
-         int(rng.integers(0, 5)), int(rng.choice([4, 8, 16])), bool(rng.random() < 0.5))
-        for _ in range(40)
-    ]
-    grid = [
-        (lead, t, S, l, extra, 8, repeats)
-        for lead in ((), (3,))
-        for t in (1, 5, l)
-        for S in (1, 4)
-        for extra in (0, 2 * l)
-        for repeats in (True, False)
-    ]
-    for lead, t, S, l_sel, extra, d, repeats in drawn + grid:
-        n = t + extra
-        q = rng.normal(size=lead + (t, d))
-        k, v = rng.normal(size=(2,) + lead + (n, d))
-        mask = causal_mask(t, n, offset=n - t) if extra or rng.random() < 0.5 else None
-        per_slot = slot_rows(rng, lead, t, S, l_sel, d, repeats)
-        out = attend(q, k, v, mask, per_slot)
-        q_sel, k_sel, v_sel = per_slot
-        s_sel = np.einsum("...tsd,...tsrd->...tsr", q_sel, k_sel).reshape(lead + (t, S * l_sel))
-        s_own = np.einsum("...td,...nd->...tn", q, k) + (0.0 if mask is None else mask)
-        w = softmax(np.concatenate([s_sel, s_own], axis=-1) / np.sqrt(d))
-        own = np.broadcast_to(v[..., None, :, :], lead + (t, n, d))
-        rows = np.concatenate([v_sel.reshape(lead + (t, S * l_sel, d)), own], axis=-2)
-        expected = np.einsum("...tr,...trd->...td", w, rows)
-        assert np.abs(out - expected).max() < 1e-13
-
-
-def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows, gain=1.0):
-    """The same slot reads as `attend`'s per-slot rows and as `attend_paged`
-    pages of `rows` rows. With `shared`, slot 0 of every query reads chunk
-    0 and the other slots pick from S + 1 more chunks; else every query
-    reads S chunks that no other query reads, so each page holds one row.
-    The slot queries are scaled by `gain`. Returns the per-slot `sel`, the
-    `attend_paged` pages, the slabs read and the slab of each page."""
+def slot_reads(rng, lead, t, S, l, d, shared, rows, gain=1.0):
+    """Slot reads of t queries as per-slot rows and as `attend` pages in
+    both layouts. With `shared`, slot 0 of every query reads chunk 0 and
+    the other slots pick from S + 1 more chunks; else every query reads S
+    chunks that no other query reads, so each page holds one row. The slot
+    queries are scaled by `gain`. Returns the per-slot (q_sel, k_sel,
+    v_sel), of shapes (..., t, S, d) and (..., t, S, l, d), the pages of
+    `rows` rows laid out by `page_table`, the identity-layout pages, the
+    slabs read and the slab of each page."""
     if shared:
         C = S + 2
         rest = rng.random(lead + (t, C - 1)).argsort(-1)[..., : max(S - 1, 0)] + 1
@@ -309,43 +265,51 @@ def paged_and_per_slot(rng, lead, t, S, l, d, shared, rows, gain=1.0):
     # page keys are transposed, (P, d, l)
     k_flat, v_flat = chunks_k.reshape(-1, l, d).swapaxes(-1, -2), chunks_v.reshape(-1, l, d)
     paged = (q_pages, k_flat[page_slab], v_flat[page_slab], read_at)
-    return per_slot, paged, slabs, page_slab
+    identity = (q_sel[..., None, :], per_slot[1].swapaxes(-1, -2), per_slot[2], None)
+    return per_slot, paged, identity, slabs, page_slab
 
 
-def test_attend_paged_matches_per_slot_rows():
+def test_attend_with_slots_matches_one_concatenated_softmax():
     rng = np.random.default_rng(8)
     drawn = [
         (tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 3))),
          int(rng.integers(1, 40)), int(rng.integers(0, 6)), int(rng.choice([1, 4, 16])),
-         int(rng.integers(0, 20)), bool(rng.random() < 0.5), int(rng.choice([1, 3, PAGE_ROWS])),
-         float(rng.choice([1.0, 300.0])))
+         int(rng.integers(0, 20)), int(rng.choice([4, 8, 16])), bool(rng.random() < 0.5),
+         int(rng.choice([1, 3, PAGE_ROWS])), float(rng.choice([1.0, 300.0])))
         for _ in range(40)
     ]
     # gain 300 makes scores of magnitude ~1e3, whose exponentials overflow
     # unless the max is subtracted before the softmax's division
     grid = [
-        (lead, t, S, l, extra, shared, PAGE_ROWS, gain)
+        (lead, t, S, l, extra, 8, shared, rows, gain)
         for lead in ((), (3,))
         for t in (1, 5, 2 * PAGE_ROWS + 3)
         for S in (0, 1, 4)
         for l in (1, 8)
         for extra in (0, 7)
         for shared in (True, False)
-        for gain in (1.0, 300.0)
+        for rows, gain in ((PAGE_ROWS, 1.0), (PAGE_ROWS, 300.0), (1, 300.0), (3, 1.0))
     ]
-    d = 8
-    for lead, t, S, l, extra, shared, rows, gain in drawn + grid:
+    for lead, t, S, l, extra, d, shared, rows, gain in drawn + grid:
         n = t + extra
         q = rng.normal(size=lead + (t, d)) * gain
         k, v = rng.normal(size=(2,) + lead + (n, d))
         mask = causal_mask(t, n, offset=extra) if rng.random() < 0.8 else None
-        per_slot, paged, slabs, page_slab = paged_and_per_slot(
+        per_slot, paged, identity, slabs, page_slab = slot_reads(
             rng, lead, t, S, l, d, shared, rows, gain)
-        expected = attend(q, k, v, mask, per_slot)
-        out = attend_paged(q, k, v, mask, paged)
-        assert out.shape == expected.shape
-        assert np.isfinite(out).all()
-        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        # one softmax over the concatenated slot rows and own rows
+        q_sel, k_sel, v_sel = per_slot
+        s_sel = np.einsum("...tsd,...tsrd->...tsr", q_sel, k_sel).reshape(lead + (t, S * l))
+        s_own = np.einsum("...td,...nd->...tn", q, k) + (0.0 if mask is None else mask)
+        w = softmax(np.concatenate([s_sel, s_own], axis=-1) / np.sqrt(d))
+        own = np.broadcast_to(v[..., None, :, :], lead + (t, n, d))
+        rows_read = np.concatenate([v_sel.reshape(lead + (t, S * l, d)), own], axis=-2)
+        expected = np.einsum("...tr,...trd->...td", w, rows_read)
+        for pages in (paged, identity):
+            out = attend(q, k, v, mask, pages)
+            assert out.shape == expected.shape
+            assert np.isfinite(out).all()
+            assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         # every page reads one slab, every read has a row of its own, and
         # no page is empty
         read_at = paged[3]
@@ -365,7 +329,7 @@ def test_attend_paged_matches_per_slot_rows():
             assert (np.bincount(page.ravel()) == 1).all()
 
 
-def test_attend_paged_leaves_its_inputs_unchanged():
+def test_attend_with_pages_leaves_its_inputs_unchanged():
     rng = np.random.default_rng(9)
     d = 8
     for lead, t, S, l, extra, shared, gain in (
@@ -378,15 +342,16 @@ def test_attend_paged_leaves_its_inputs_unchanged():
         q = rng.normal(size=lead + (t, d)) * gain
         k, v = rng.normal(size=(2,) + lead + (n, d))
         mask = causal_mask(t, n, offset=extra)
-        _, paged, _, _ = paged_and_per_slot(rng, lead, t, S, l, d, shared, PAGE_ROWS, gain)
-        inputs = (q, k, v, mask) + paged
-        before = [x.copy() for x in inputs]
-        for x in inputs:
-            x.flags.writeable = False  # a write in place raises
-        out = attend_paged(q, k, v, mask, paged)
-        assert np.isfinite(out).all()
-        for x, y in zip(inputs, before):
-            np.testing.assert_array_equal(x, y)  # unread NaN rows compare equal
+        _, paged, identity, _, _ = slot_reads(rng, lead, t, S, l, d, shared, PAGE_ROWS, gain)
+        for pages in (paged, identity):
+            inputs = (q, k, v, mask) + tuple(x for x in pages if x is not None)
+            before = [x.copy() for x in inputs]
+            for x in inputs:
+                x.flags.writeable = False  # a write in place raises
+            out = attend(q, k, v, mask, pages)
+            assert np.isfinite(out).all()
+            for x, y in zip(inputs, before):
+                np.testing.assert_array_equal(x, y)  # unread NaN rows compare equal
 
 
 def test_mlp_scratch_is_one_block(tiny_model, monkeypatch):

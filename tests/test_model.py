@@ -269,8 +269,9 @@ def slot_reads(rng, lead, t, S, l, d, shared, rows, gain=1.0):
     return per_slot, paged, identity, slabs, page_slab
 
 
-def test_attend_with_slots_matches_one_concatenated_softmax():
-    rng = np.random.default_rng(8)
+def slot_cases(rng):
+    """40 drawn and a grid of (lead, t, S, l, extra, d, shared, rows, gain)
+    cases for `slot_reads`."""
     drawn = [
         (tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 3))),
          int(rng.integers(1, 40)), int(rng.integers(0, 6)), int(rng.choice([1, 4, 16])),
@@ -290,13 +291,17 @@ def test_attend_with_slots_matches_one_concatenated_softmax():
         for shared in (True, False)
         for rows, gain in ((PAGE_ROWS, 1.0), (PAGE_ROWS, 300.0), (1, 300.0), (3, 1.0))
     ]
-    for lead, t, S, l, extra, d, shared, rows, gain in drawn + grid:
+    return drawn + grid
+
+
+def test_attend_with_slots_matches_one_concatenated_softmax():
+    rng = np.random.default_rng(8)
+    for lead, t, S, l, extra, d, shared, rows, gain in slot_cases(rng):
         n = t + extra
         q = rng.normal(size=lead + (t, d)) * gain
         k, v = rng.normal(size=(2,) + lead + (n, d))
         mask = causal_mask(t, n, offset=extra) if rng.random() < 0.8 else None
-        per_slot, paged, identity, slabs, page_slab = slot_reads(
-            rng, lead, t, S, l, d, shared, rows, gain)
+        per_slot, paged, identity, _, _ = slot_reads(rng, lead, t, S, l, d, shared, rows, gain)
         # one softmax over the concatenated slot rows and own rows
         q_sel, k_sel, v_sel = per_slot
         s_sel = np.einsum("...tsd,...tsrd->...tsr", q_sel, k_sel).reshape(lead + (t, S * l))
@@ -310,6 +315,24 @@ def test_attend_with_slots_matches_one_concatenated_softmax():
             assert out.shape == expected.shape
             assert np.isfinite(out).all()
             assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_attend_paged_matches_per_slot_rows():
+    # the shared-page layout against the identity layout, whose pages are
+    # the per-slot rows, and the page table that lays the shared pages out
+    rng = np.random.default_rng(6)
+    for lead, t, S, l, extra, d, shared, rows, gain in slot_cases(rng):
+        n = t + extra
+        q = rng.normal(size=lead + (t, d)) * gain
+        k, v = rng.normal(size=(2,) + lead + (n, d))
+        mask = causal_mask(t, n, offset=extra) if rng.random() < 0.8 else None
+        _, paged, identity, slabs, page_slab = slot_reads(
+            rng, lead, t, S, l, d, shared, rows, gain)
+        expected = attend(q, k, v, mask, identity)
+        out = attend(q, k, v, mask, paged)
+        assert out.shape == expected.shape
+        assert np.isfinite(out).all()
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         # every page reads one slab, every read has a row of its own, and
         # no page is empty
         read_at = paged[3]

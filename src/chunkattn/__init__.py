@@ -23,7 +23,7 @@ from .analysis import (
 from .cache import ChunkStore
 from .chunking import ChunkLayout, advance
 from .config import EngineConfig, ModelConfig, SELECTION_POLICIES, validate_pairing
-from .engine import Engine, OracleDecoder
+from .engine import Engine, OracleDecoder, select
 from .model import (
     HostModel,
     RotaryTable,
@@ -33,7 +33,6 @@ from .model import (
 )
 from .remapping import remap
 from .representation import chunk_query, chunk_representation
-from .selection import select
 from .trace import SelectionTrace
 
 __all__ = [

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .engine import select
 from .representation import build_chunk_repr
-from .selection import rank_top, select
+from .selection import rank_top
 from .trace import SelectionTrace
 
 
@@ -227,14 +228,13 @@ def run_passkey_trial(
     identity here; fix-head and fix-head-and-layer share head 0's picks.
     Returns the (H, k') selected ids and the (H, m - 2) candidate scores.
     """
-    reps = instance_representations(instance)
-    first, last = 0, instance.m - 1
+    last = instance.m - 1
+    cands = instance_representations(instance)[:, 1:last]
+    scores = np.matmul(cands, instance.probes[:, :, None])[..., 0]
     rngs = None
     if policy == "random":
-        rngs = [np.random.default_rng([seed, 0, head, step]) for head in range(instance.n_heads)]
-    ids, scores = select(
-        instance.probes, reps[:, first + 1 : last], first, last, k, policy=policy, rngs=rngs
-    )
+        rngs = [[np.random.default_rng([seed, 0, head, step])] for head in range(instance.n_heads)]
+    ids = select(scores[:, None], (last,), k, policy, rngs)[:, 0]
     trace.append_block(step, 0, np.arange(instance.n_heads), ids, scores)
     return ids, scores
 

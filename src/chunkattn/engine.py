@@ -19,7 +19,7 @@ import numpy as np
 
 from .cache import ChunkStore
 from .chunking import ChunkLayout, advance
-from .config import CONSTRAINT_POLICIES, EngineConfig, validate_pairing
+from .config import CONSTRAINT_POLICIES, SELECTION_POLICIES, EngineConfig, validate_pairing
 from .model import (
     PAGE_ROWS,
     HostModel,
@@ -33,7 +33,7 @@ from .model import (
     row_blocks,
 )
 from .remapping import remap
-from .selection import rank_top, select
+from .selection import rank_top
 from .trace import SelectionTrace
 
 # Encode attends consecutive chunks of one length and width in groups that
@@ -179,12 +179,13 @@ class Engine:
         hidden rows h, (H, n, d_head).
 
         Each chunk's selection width follows from its index, k and the
-        policy alone, so chunks group with their neighbours of the same
-        length and width before any is selected (`_encode_groups`). Every
-        group selects first, in chunk order, so the trace keeps chunk order:
-        one score matrix, filled chunk by chunk, one `rank_top` call and one
-        trace block for all its tokens and heads (`_encode_selection`; in
-        blocks of whole chunks past SELECT_BLOCK_SCORES scores). Then each
+        policy alone (`selection_widths`), so chunks group with their
+        neighbours of the same length and width before any is selected
+        (`_encode_groups`). Every group selects first, in chunk order, so
+        the trace keeps chunk order: one score matrix, filled chunk by
+        chunk, one `select` call and one trace block for all its tokens and
+        heads (`_encode_selection`; in blocks of whole chunks past
+        SELECT_BLOCK_SCORES scores). Then each
         group attends in one `attend` call with pages laid out by
         `page_table`.
         Every key is rotated once, by its offset r inside its chunk, and
@@ -226,17 +227,18 @@ class Engine:
         v_chunks = V[:, :n_full].reshape(H, -1, l, d)
         mask = causal_mask(l, l)
         attn = np.empty_like(Q)
-        widths = _encode_widths(self.config, len(bounds))
+        k, policy = self.config.num_selected, self.config.policy
+        widths = [selection_widths(c - 1, k, policy) for c in range(len(bounds))]
         groups = []
         for c0, c1 in _encode_groups(bounds, widths, l):
             start, end = bounds[c0][0], bounds[c1 - 1][1]
-            l_c, n_sel = bounds[c0][1] - start, int(widths[c0])
+            l_c, n_sel = bounds[c0][1] - start, widths[c0]
             per = max(1, SELECT_BLOCK_SCORES // (H * l_c * max(c1 - 3, 1)))
             ids = []
             for s0 in range(c0, c1, per):  # blocks of whole chunks
                 s1 = min(s0 + per, c1)
                 a, b = bounds[s0][0], bounds[s1 - 1][1]
-                block, scores = self._encode_selection(layer, s0, s1, l_c, n_sel, reprs, Q[:, a:b])
+                block, scores = self._encode_selection(layer, s0, s1, l_c, reprs, Q[:, a:b])
                 self._record_block(layer, a, block, scores)
                 ids.append(block)
             self._note_encode_window(n_sel * l + l_c)
@@ -280,28 +282,26 @@ class Engine:
             scores,
         )
 
-    def _encode_selection(self, layer, c0, c1, l_c, n_sel, reprs, q):
+    def _encode_selection(self, layer, c0, c1, l_c, reprs, q):
         """Selected chunk ids of the queries q (H, T, d) of chunks c0..c1-1,
-        l_c tokens each, all of width n_sel.
+        l_c tokens each, all of one width.
 
-        Returns ids (H, T, n_sel), ascending along the last axis, and, when
+        Returns ids (H, T, width), ascending along the last axis, and, when
         scores are recorded, a list with each chunk's (l_c * H, C) scores,
         token-major; else None. Chunk c's candidates are the C = c - 2
         sealed chunks strictly between the first chunk and chunk c - 1. The
         group's (H, T, c1 - 3) scores hold each chunk's candidates first and
-        -inf past them, and one `rank_top` call ranks every row within its
-        own chunk's columns.
+        -inf past them, and one `select` call ranks every row within its
+        own chunk's columns; a policy that does not rank passes none.
         """
         cfg = self.config
         H, T = q.shape[:2]
         policy = cfg.policy
-        base = "top-k" if policy in CONSTRAINT_POLICIES else policy
-        last = np.repeat(np.arange(c0, c1), l_c) - 1  # each row's last chunk
         count = max(c1 - 3, 0)  # the candidates of the group's last chunk
-
         reuse = policy in ("fix-layer", "fix-head-and-layer") and layer > 0
+        ranks = policy not in ("last-k", "random") and not reuse
         scores = recorded = None
-        if self.record_scores or (base in ("top-k", "no-first") and not reuse):
+        if self.record_scores or ranks:
             if self.record_scores:
                 # Laid out token-major, as the trace keeps its rows, so the
                 # trace holds views of this array and not copies.
@@ -319,43 +319,18 @@ class Engine:
                 scores[:, rows, C:] = -np.inf
                 if recorded is not None:
                     recorded.append(scores[:, rows, :C].transpose(1, 0, 2).reshape(l_c * H, C))
-        if c0 == 0:  # chunk 0 selects nothing
-            return np.zeros((H, T, 0), dtype=np.int64), recorded
         if reuse:
             return self._layer0_encode_ids[c0], recorded
-
-        # ids run [0,] the picks, ascending, then chunk c - 1: every pick
-        # lies strictly between the first chunk and chunk c - 1
-        keep_first = base != "no-first" and c0 > 1
-        take = n_sel - 1 - keep_first
-
-        if take == 0:
-            picked = np.zeros((H, T, 0), dtype=np.int64)
-        elif base in ("top-k", "no-first"):
-            # chunk c ranks its own candidates, columns 0..c-3 of the group's
-            limit = last - 1 if c1 - c0 > 1 else None
-            if policy in ("fix-head", "fix-head-and-layer"):
-                picked = 1 + rank_top(scores[0], take, limit)
-            else:
-                picked = 1 + rank_top(scores, take, limit)
-        elif base == "last-k":
-            picked = (last - take)[:, None] + np.arange(take)
-        elif base == "random":
-            picked = np.empty((H, T, take), dtype=np.int64)
+        if not ranks:
+            scores = np.empty((H, T, 0))
+        last = np.repeat(np.arange(c0 - 1, c1 - 1), l_c)  # each row's last chunk
+        rngs = None
+        if policy == "random":
             token0 = c0 * cfg.chunk_size
-            for j in range(T):
-                cand_ids = np.arange(1, last[j], dtype=np.int64)
-                for head in range(H):
-                    rng = np.random.default_rng([cfg.seed, layer, head, token0 + j])
-                    picked[head, j] = rng.choice(cand_ids, size=take, replace=False)
-        else:  # pragma: no cover
-            raise AssertionError(base)
-
-        ids = np.empty((H, T, n_sel), dtype=np.int64)
-        ids[..., 0] = 0
-        ids[..., keep_first:-1] = np.sort(picked, axis=-1)
-        ids[..., -1] = last
-        if policy in ("fix-layer", "fix-head-and-layer") and layer == 0:
+            rngs = [[np.random.default_rng([cfg.seed, layer, head, token0 + j]) for j in range(T)]
+                    for head in range(H)]
+        ids = select(scores, last, cfg.num_selected, policy, rngs)
+        if policy in ("fix-layer", "fix-head-and-layer"):  # layer 0: later layers reuse
             self._layer0_encode_ids[c0] = ids
         return ids, recorded
 
@@ -365,6 +340,8 @@ class Engine:
         """Greedy-decode `steps` tokens after encode()."""
         if sampler != "greedy":
             raise ValueError(f"unsupported sampler {sampler!r}")
+        if steps < 0:
+            raise ValueError(f"steps={steps} must be >= 0")
         self._check_not_failed()
         if self.last_logits is None:
             raise RuntimeError("encode a prompt before generating")
@@ -461,16 +438,15 @@ class Engine:
         decode query `queries` (H, d). Candidates are the sealed chunks
         strictly between the first and the last."""
         cfg = self.config
-        H = queries.shape[0]
-        sealed = self.store.sealed_count(layer)
-        if sealed == 0:
-            return np.empty((H, 0), dtype=np.int64), np.empty((H, 0))
-        last = sealed - 1
+        last = self.store.sealed_count(layer) - 1
+        cands = self.store.layer_reprs(layer)[:, 1:last]
+        scores = np.matmul(cands, queries[:, :, None])[..., 0]
         rngs = None
         if cfg.policy == "random":
-            rngs = [np.random.default_rng([cfg.seed, layer, head, step]) for head in range(H)]
-        cands = self.store.layer_reprs(layer)[:, 1:last]
-        return select(queries, cands, 0, last, cfg.num_selected, policy=cfg.policy, rngs=rngs)
+            rngs = [[np.random.default_rng([cfg.seed, layer, head, step])]
+                    for head in range(len(queries))]
+        ids = select(scores[:, None], (last,), cfg.num_selected, cfg.policy, rngs)
+        return ids[:, 0], scores
 
     def _record_decode(self, step, layer, ids, scores) -> None:
         """Trace one row per head of the layer's selection."""
@@ -486,20 +462,84 @@ class Engine:
         return out
 
 
-def _encode_widths(config, m) -> np.ndarray:
-    """The width n_sel of each of m chunks' encode selections: chunk c keeps
-    its mandatory chunks and picks as many of its c - 2 candidates as the
-    rest of k allows. Chunk 0 selects nothing, and chunk 1's first chunk is
-    its last."""
-    c = np.arange(m)
-    candidates = np.maximum(c - 2, 0)
-    k = config.num_selected
-    if config.policy == "no-first":  # chunk c - 1, and k - 1 picks
-        widths = 1 + np.minimum(k - 1, candidates)
-    else:  # chunks 0 and c - 1, and k - 2 picks
-        widths = np.minimum(c, 2) + np.minimum(k - 2, candidates)
-    widths[0] = 0
-    return widths
+def selection_widths(last: int, k: int, policy: str) -> int:
+    """The width of a selection whose last chunk is `last`: its mandatory
+    chunks, 0 and `last` (only `last` under no-first; one chunk when they
+    coincide), and as many of the last - 1 candidates between them as the
+    rest of k allows. last = -1, no sealed chunk, selects nothing."""
+    if last < 0:
+        return 0
+    candidates = max(last - 1, 0)
+    if policy == "no-first":
+        return 1 + min(k - 1, candidates)
+    return min(last + 1, 2) + min(k - 2, candidates)
+
+
+def select(scores: np.ndarray, last, k: int, policy: str = "top-k", rngs=None) -> np.ndarray:
+    """Chunk ids of H heads' selections for T rows at once.
+
+    Row t keeps chunk 0 and chunk last[t] (only last[t] under no-first)
+    and picks from the candidates 1..last[t]-1 between them, as many as
+    `selection_widths` allows; every row of a call must have the same
+    width. Ranking policies (top-k, no-first and the fix-* constraints on
+    top-k) take the best of `scores` (H, T, C), whose column j scores
+    chunk 1 + j against row t's query; a row's columns from last[t] - 1
+    on are ignored. Other policies may pass C = 0. last-k picks the
+    candidates just before last[t]; random draws head h's picks for row t
+    from rngs[h][t]. Under fix-head and fix-head-and-layer every head takes
+    head 0's picks; sharing across layers is left to the caller, which
+    holds layer 0's ids.
+
+    Returns (H, T, width) chunk ids, ascending along the last axis.
+    """
+    if k < 2:
+        raise ValueError(f"k={k} must be >= 2")
+    if policy not in SELECTION_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if scores.ndim != 3:
+        raise ValueError(f"scores must be an (H, T, C) array, got shape {scores.shape}")
+    H, T, C = scores.shape
+    last = np.asarray(last)
+    if last.shape != (T,):
+        raise ValueError(f"last must be a ({T},) sequence, got shape {last.shape}")
+    if policy == "random" and rngs is None:
+        raise ValueError("random policy requires one rng per (head, row)")
+    # widths never shrink as last grows, so the extremes have one width
+    # only if every row has
+    if T == 1:
+        lo = hi = int(last[0])
+    else:
+        lo, hi = int(last.min()), int(last.max())
+    width = selection_widths(lo, k, policy)
+    if hi > lo and selection_widths(hi, k, policy) != width:
+        raise ValueError(f"rows of mixed width: last runs from {lo} to {hi}")
+    base = "top-k" if policy in CONSTRAINT_POLICIES else policy
+    if base in ("top-k", "no-first") and C < hi - 1:
+        raise ValueError(f"{policy} ranks up to {hi - 1} candidates, but scores hold {C}")
+
+    # ids run [0,] the picks, ascending, then last: every pick lies
+    # strictly between the first chunk and the last. The zeros hold chunk 0.
+    ids = np.zeros((H, T, width), dtype=np.int64)
+    keep_first = base != "no-first"
+    take = width - 1 - keep_first
+    if take > 0:
+        if base in ("top-k", "no-first"):
+            limit = None if lo - 1 == C else last - 1
+            shared = policy in ("fix-head", "fix-head-and-layer")
+            picked = 1 + rank_top(scores[:1] if shared else scores, take, limit)
+        elif base == "last-k":
+            picked = (last - take)[:, None] + np.arange(take)
+        else:  # random
+            picked = np.empty((H, T, take), dtype=np.int64)
+            for t in range(T):
+                pool = np.arange(1, last[t], dtype=np.int64)
+                for head in range(H):
+                    picked[head, t] = rngs[head][t].choice(pool, size=take, replace=False)
+        picked.sort(axis=-1)
+        ids[..., keep_first:-1] = picked
+    if width:
+        ids[..., -1] = last
+    return ids
 
 
 def _encode_groups(bounds, widths, l):
@@ -549,6 +589,8 @@ class OracleDecoder:
         return logits
 
     def generate(self, steps: int) -> TokenSequence:
+        if steps < 0:
+            raise ValueError(f"steps={steps} must be >= 0")
         if self.last_logits is None:
             raise RuntimeError("encode a prompt before generating")
         out = []

@@ -206,11 +206,11 @@ def test_criterion_7_mandatory_membership_over_random_selections():
         # vector the list-based form drew, so the cases are unchanged
         cands = rng.normal(size=(n_cands, 2, d))[:, 0]
         first, last = 0, n_cands + 1
-        ids, _ = select(
-            q[None], cands[None], first, last, k, policy=policy,
-            rngs=[np.random.default_rng(int(rng.integers(0, 2**32)))],
+        ids = select(
+            (cands @ q)[None, None], [last], k, policy,
+            [[np.random.default_rng(int(rng.integers(0, 2**32)))]],
         )
-        chunks = ids[0].tolist()
+        chunks = ids[0, 0].tolist()
         ok = ok and first in chunks and last in chunks and len(chunks) <= k
         if not ok:
             break

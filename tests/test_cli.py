@@ -73,6 +73,14 @@ def test_equivalence_refuses_non_saturated(tmp_path, capsys):
     assert "saturate" in capsys.readouterr().err
 
 
+def test_equivalence_rejects_negative_steps(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["equivalence", "--n", "64", "--steps", "-3", "--out", str(out)])
+    assert code == 2
+    assert "steps=-3 must be >= 0" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+
+
 def test_corrupt_config_reports_line(tmp_path, capsys):
     bad = tmp_path / "model.json"
     bad.write_text('{\n  "n_layers": 1,\n  oops\n}\n')

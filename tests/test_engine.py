@@ -38,6 +38,18 @@ def test_short_context_generation_matches_oracle_exactly(tiny_model):
     assert generated.tokens == oracle.generate(16).tokens
 
 
+def test_generate_rejects_negative_steps_and_stays_usable(tiny_model):
+    toks = random_tokens(40)
+    engine, oracle = make_engine(tiny_model, l=16), OracleDecoder(tiny_model)
+    for decoder in (engine, oracle):
+        decoder.encode(toks)
+        with pytest.raises(ValueError, match="steps=-3 must be >= 0"):
+            decoder.generate(-3)
+    # a refused call decodes nothing: both still agree from the prompt on
+    assert engine.layout.n == oracle.n == 40
+    assert engine.generate(4).tokens == oracle.generate(4).tokens
+
+
 def test_saturated_selection_matches_oracle(tiny_model):
     # m = 128/32 = 4 chunks = k: selection saturates, remap is the identity
     toks = random_tokens(128)
@@ -285,49 +297,62 @@ def test_record_scores_with_layer_sharing(tiny_model):
 
 
 @pytest.mark.parametrize("policy", ["top-k", "no-first"])
-def test_recorded_encode_scores_match_per_head_products(tiny_model, policy):
-    # Each encode group is scored straight into one array, whose per-chunk
-    # views the trace keeps. Every row must match its
-    # head's own reprs[h, 1:c-1] @ q, and wherever the reference has no near
-    # tie at the cut, the group must pick the reference's top chunks.
+def test_recorded_encode_scores_match_per_head_products(tiny_model, policy, monkeypatch):
+    # Each encode group is scored straight into one array, which goes to
+    # `select` and whose per-chunk views the trace keeps. Every row must
+    # match its head's own reprs[h, 1:c-1] @ q, and wherever the reference
+    # has no near tie at the cut, the group must pick the reference's top
+    # chunks.
+    import chunkattn.engine as engine_module
     from chunkattn.selection import rank_top
 
     l, k, n = 8, 4, 8 * 90 + 5  # up to 87 candidates: both rank_top paths
     H = tiny_model.config.n_heads
     engine = make_engine(tiny_model, l=l, k=k, policy=policy, record_scores=True)
-    select_ids, groups = engine._encode_selection, []
+    select, project = engine_module.select, tiny_model.project_heads
+    queries, calls = [], []
 
-    def keeping(layer, c0, c1, l_c, n_sel, reprs, q):
-        ids, recorded = select_ids(layer, c0, c1, l_c, n_sel, reprs, q)
-        cands = reprs[:, 1 : max(c1 - 2, 1)].copy()
-        groups.append((layer, c0, c1, l_c, q, cands, ids, recorded))
-        return ids, recorded
+    def keeping_queries(layer, x):
+        Q, K, V = project(layer, x)
+        queries.append(Q)
+        return Q, K, V
 
-    engine._encode_selection = keeping
+    def keeping(scores, last, *args):
+        ids = select(scores, last, *args)
+        calls.append((len(queries) - 1, scores, last, ids))
+        return ids
+
+    monkeypatch.setattr(tiny_model, "project_heads", keeping_queries)
+    monkeypatch.setattr(engine_module, "select", keeping)
     engine.encode(random_tokens(n))
     held = dict(engine.trace.score_blocks)
-    assert sum(c1 - c0 for _, c0, c1, *_ in groups) == 2 * engine.layout.m
-    assert max(c1 - c0 for _, c0, c1, *_ in groups) > 1
+    bounds = engine.layout.bounds
+    assert sum(len(last) for *_, last, _ in calls) == 2 * n
+    assert max(len(set(last.tolist())) for *_, last, _ in calls) > 1
     checked = total = 0
-    for layer, c0, c1, l_c, q, cands, group_ids, recorded in groups:
-        assert len(recorded) == c1 - c0
-        # one product fills the group: the trace keeps views of one buffer
-        assert len({id(scores.base) for scores in recorded if scores.size}) <= 1
-        for i, (c, scores) in enumerate(zip(range(c0, c1), recorded)):
-            C = max(c - 2, 0)
-            q_blk = q[:, i * l_c : (i + 1) * l_c]
-            ids = group_ids[:, i * l_c : (i + 1) * l_c]
-            ref = np.array([[cands[h, :C] @ row for row in q_blk[h]] for h in range(H)])
+    for layer, group_scores, last, group_ids in calls:
+        cands = engine.store.layer_reprs(layer)[:, 1:]
+        row = 0
+        for c in range(last[0] + 1, last[-1] + 2):
+            start, end = bounds[c]
+            l_c, C = end - start, max(c - 2, 0)
+            assert (last[row : row + l_c] == c - 1).all()
+            q_blk = queries[layer][:, start:end]
+            ids = group_ids[:, row : row + l_c]
+            row += l_c
+            scores = held[(layer * n + start) * H]
+            # the trace holds a view of the group's one score array
+            assert scores.size == 0 or np.shares_memory(scores, group_scores)
+            ref = np.array([[cands[h, :C] @ q for q in q_blk[h]] for h in range(H)])
             ref = ref.reshape(H, l_c, C)
             assert scores.shape == (l_c * H, C)
-            assert held[(layer * n + c * l) * H] is scores
             token_major = ref.transpose(1, 0, 2).reshape(l_c * H, C)
             assert np.abs(scores - token_major).max(initial=0.0) <= 1e-12
             if c == 0:
                 assert ids.shape == (H, l_c, 0)
                 continue
             mandatory = [c - 1] if policy == "no-first" else sorted({0, c - 1})
-            take = min(k - len(mandatory), C)
+            take = engine_module.selection_widths(c - 1, k, policy) - len(mandatory)
             picked = np.arange(1, c - 1)[rank_top(ref, take)]
             expected = np.sort(np.concatenate(
                 [picked, np.broadcast_to(mandatory, (H, l_c, len(mandatory)))], axis=-1), axis=-1)
@@ -337,6 +362,7 @@ def test_recorded_encode_scores_match_per_head_products(tiny_model, policy):
             clear = margin > 1e-9
             np.testing.assert_array_equal(ids[clear], expected[clear])
             checked, total = checked + clear.sum(), total + clear.size
+        assert row == len(last)
     assert checked > 0.99 * total
 
 
@@ -556,6 +582,12 @@ def test_decode_selects_remaps_and_gathers_once_per_layer(tiny_model, policy, mo
     l, k, n = 16, 4, 9 * 16 + 5  # 9 sealed chunks > k, so every head picks k
     engine = make_engine(tiny_model, l=l, k=k, policy=policy, residency="offload")
     engine.encode(random_tokens(n))
+    # Encode selects once per selection block; at this size each group
+    # selects in one block. Under layer sharing, layers >= 1 reuse layer 0's.
+    widths = [engine_module.selection_widths(c - 1, k, policy) for c in range(engine.layout.m)]
+    groups = len(list(engine_module._encode_groups(engine.layout.bounds, widths, l)))
+    selecting = 1 if policy in ("fix-layer", "fix-head-and-layer") else L
+    assert calls["select"] == groups * selecting
     gather = counting("gather", engine.store.gather)
 
     def gather_recording_shape(*args, **kwargs):
@@ -769,14 +801,23 @@ def test_nan_query_ranks_only_its_own_chunks_in_a_group(wide_model, monkeypatch)
         # the chunk summaries stay finite, so that selection sees the NaN
         return bulk_append(layer, np.nan_to_num(Q), K, V, K_rot)
 
-    monkeypatch.setattr(wide_model, "project_heads", nan_query)
-    monkeypatch.setattr(engine.store, "bulk_append", clean_summaries)
-    with pytest.raises(FloatingPointError):
-        engine.encode(random_tokens(n))
     import chunkattn.engine as engine_module
 
-    widths = engine_module._encode_widths(engine.config, engine.layout.m)
+    select, lasts = engine_module.select, []
+
+    def keeping_last(scores, last, *args):
+        lasts.append(last)
+        return select(scores, last, *args)
+
+    monkeypatch.setattr(wide_model, "project_heads", nan_query)
+    monkeypatch.setattr(engine.store, "bulk_append", clean_summaries)
+    monkeypatch.setattr(engine_module, "select", keeping_last)
+    with pytest.raises(FloatingPointError):
+        engine.encode(random_tokens(n))
+    widths = [engine_module.selection_widths(c - 1, k, "top-k") for c in range(engine.layout.m)]
     assert (16, 24) in engine_module._encode_groups(engine.layout.bounds, widths, l)
+    # chunks 16..23 select in one call, over rows whose last runs 15..22
+    assert any(np.array_equal(last, np.repeat(np.arange(15, 23), l)) for last in lasts)
     trace = engine.trace
     rows = (np.asarray(trace.layer) == 0) & (np.asarray(trace.step) == t)
     assert rows.sum() == H

@@ -3,7 +3,9 @@
 perfbench/ reaches into the engine by name: `trace.records`, the class
 methods that `tracing.instrument` wraps, and the checks in `run_pass`. A
 refactor that breaks one of them fails here rather than only in a
-benchmark run.
+benchmark run. `tracing.instrument` replaces `select` and `rank_top` in
+`chunkattn.engine`'s namespace, so the engine must call both through
+that module's names for their spans to fire.
 """
 
 import dataclasses

@@ -4,9 +4,11 @@ Encoding summarizes every complete chunk up front, then lets each token of
 each head attend its selected chunks (laid out from position 0) plus its own
 chunk's causal prefix. Generation repeats the same dance one token at a
 time, gathering selected slabs through the store so loads are counted.
-Both phases read the selected slabs as pages of one `attend` kernel:
-encode's pages are shared by the tokens that read a chunk, decode's each
-hold one slot.
+Both phases pick chunks through one step, `Engine._select`, which scores a
+block of queries against the chunk summaries and calls `select`; decode's
+block is its one token. Both read the selected slabs as pages of one
+`attend` kernel: encode's pages are shared by the tokens that read a chunk,
+decode's each hold one slot.
 The full-attention oracle lives alongside for equivalence checks.
 """
 
@@ -94,7 +96,6 @@ class Engine:
         *,
         residency: str = "hot",
         budget: int | None = None,
-        record_scores: bool = False,
     ):
         validate_pairing(model.config, config)
         self.model = model
@@ -120,9 +121,8 @@ class Engine:
             }
         )
         self.counters = EngineCounters()
-        self.record_scores = record_scores
         self.last_logits: np.ndarray | None = None
-        self._layer0_encode_ids: dict[int, np.ndarray] = {}
+        self._layer0_ids: dict[int, np.ndarray] = {}
         self._failure: str | None = None
 
     # -- encoding ----------------------------------------------------------
@@ -161,7 +161,7 @@ class Engine:
                     h[i:j] += self.model.merge_heads(attn[:, i:j]) @ wo
                 del attn
                 h = self.model.mlp(layer, h)
-            self._layer0_encode_ids.clear()  # read only by later layers' selection
+            self._layer0_ids.clear()  # read only by later layers' selection
             logits = self.model.logits_from_hidden(h)
             if not np.isfinite(logits).all():
                 raise FloatingPointError(f"non-finite logits in encode of {n} tokens")
@@ -182,9 +182,8 @@ class Engine:
         policy alone (`selection_widths`), so chunks group with their
         neighbours of the same length and width before any is selected
         (`_encode_groups`). Every group selects first, in chunk order, so
-        the trace keeps chunk order: one score matrix, filled chunk by
-        chunk, one `select` call and one trace block for all its tokens and
-        heads (`_encode_selection`; in blocks of whole chunks past
+        the trace keeps chunk order: one `_select` call and one trace
+        block for all its tokens and heads (in blocks of whole chunks past
         SELECT_BLOCK_SCORES scores). Then each
         group attends in one `attend` call with pages laid out by
         `page_table`.
@@ -238,8 +237,10 @@ class Engine:
             for s0 in range(c0, c1, per):  # blocks of whole chunks
                 s1 = min(s0 + per, c1)
                 a, b = bounds[s0][0], bounds[s1 - 1][1]
-                block, scores = self._encode_selection(layer, s0, s1, l_c, reprs, Q[:, a:b])
-                self._record_block(layer, a, block, scores)
+                block = self._select(layer, s0, s1, l_c, reprs, Q[:, a:b], a)
+                rows = np.arange(a * H, b * H)  # token-major: token r // H, head r % H
+                self.trace.append_block(rows // H, layer, rows % H,
+                                        block.swapaxes(0, 1).reshape(len(rows), n_sel))
                 ids.append(block)
             self._note_encode_window(n_sel * l + l_c)
             groups.append((c0, c1, l_c, start, end, np.concatenate(ids, axis=1)))
@@ -269,46 +270,31 @@ class Engine:
             counters.encode_max_attended_rows = rows
             counters.encode_max_rotary_position = rows - 1
 
-    def _record_block(self, layer, token0, ids, scores) -> None:
-        """Trace a group's (H, T, n_sel) ids for tokens token0.. token0 + T - 1
-        as T * H rows, token-major, with each chunk's token-major score
-        matrix when scores are recorded."""
-        H, T = ids.shape[:2]
-        self.trace.append_block(
-            np.repeat(np.arange(token0, token0 + T), H),
-            layer,
-            np.arange(T * H) % H,
-            ids.transpose(1, 0, 2).reshape(T * H, ids.shape[-1]),
-            scores,
-        )
+    def _select(self, layer, c0, c1, l_c, reprs, q, token0):
+        """Selected ids (H, T, width), ascending, of the queries q (H, T, d)
+        of tokens token0.. token0 + T - 1: chunks c0..c1-1 of l_c tokens and
+        one width each. Decode's token is the one-row chunk c, its layer's
+        sealed count.
 
-    def _encode_selection(self, layer, c0, c1, l_c, reprs, q):
-        """Selected chunk ids of the queries q (H, T, d) of chunks c0..c1-1,
-        l_c tokens each, all of one width.
-
-        Returns ids (H, T, width), ascending along the last axis, and, when
-        scores are recorded, a list with each chunk's (l_c * H, C) scores,
-        token-major; else None. Chunk c's candidates are the C = c - 2
-        sealed chunks strictly between the first chunk and chunk c - 1. The
-        group's (H, T, c1 - 3) scores hold each chunk's candidates first and
-        -inf past them, and one `select` call ranks every row within its
-        own chunk's columns; a policy that does not rank passes none.
+        Chunk c ranks the C = c - 2 chunks strictly between chunk 0 and
+        chunk c - 1. Ranking policies score them, padded with -inf to the
+        block's (H, T, c1 - 3), and one `select` call limits each row to its
+        own chunk's columns; last-k and random pass no columns. Under
+        fix-layer and fix-head-and-layer, layers >= 1 take layer 0's ids for
+        token0 unscored; the caller clears them after each pass.
         """
         cfg = self.config
         H, T = q.shape[:2]
         policy = cfg.policy
-        count = max(c1 - 3, 0)  # the candidates of the group's last chunk
-        reuse = policy in ("fix-layer", "fix-head-and-layer") and layer > 0
-        ranks = policy not in ("last-k", "random") and not reuse
-        scores = recorded = None
-        if self.record_scores or ranks:
-            if self.record_scores:
-                # Laid out token-major, as the trace keeps its rows, so the
-                # trace holds views of this array and not copies.
-                scores = np.empty((T, H, count)).transpose(1, 0, 2)
-                recorded = []
-            else:
-                scores = np.empty((H, T, count))
+        shares_layers = policy in ("fix-layer", "fix-head-and-layer")
+        if shares_layers and layer > 0:
+            return self._layer0_ids[token0]
+        if policy in ("last-k", "random"):
+            scores = np.empty((H, T, 0))
+        elif c1 == c0 + 1:  # one chunk, such as decode's token: one product
+            scores = q @ reprs[:, 1 : 1 + max(c0 - 2, 0)].swapaxes(-1, -2)
+        else:
+            scores = np.empty((H, T, max(c1 - 3, 0)))  # the group's last chunk's C
             # Each chunk's own product: past about 192 candidates the last
             # bits of OpenBLAS's gemm depend on its shape, and a chunk's
             # scores must not depend on the group it falls in.
@@ -317,22 +303,15 @@ class Engine:
                 cands = reprs[:, 1 : 1 + C].swapaxes(-1, -2)
                 np.matmul(q[:, rows], cands, out=scores[:, rows, :C])
                 scores[:, rows, C:] = -np.inf
-                if recorded is not None:
-                    recorded.append(scores[:, rows, :C].transpose(1, 0, 2).reshape(l_c * H, C))
-        if reuse:
-            return self._layer0_encode_ids[c0], recorded
-        if not ranks:
-            scores = np.empty((H, T, 0))
-        last = np.repeat(np.arange(c0 - 1, c1 - 1), l_c)  # each row's last chunk
+        last = np.arange(c0 - 1, c1 - 1).repeat(l_c)  # each row's last chunk
         rngs = None
         if policy == "random":
-            token0 = c0 * cfg.chunk_size
             rngs = [[np.random.default_rng([cfg.seed, layer, head, token0 + j]) for j in range(T)]
                     for head in range(H)]
         ids = select(scores, last, cfg.num_selected, policy, rngs)
-        if policy in ("fix-layer", "fix-head-and-layer"):  # layer 0: later layers reuse
-            self._layer0_encode_ids[c0] = ids
-        return ids, recorded
+        if shares_layers:  # layer 0: later layers reuse
+            self._layer0_ids[token0] = ids
+        return ids
 
     # -- generation --------------------------------------------------------
 
@@ -371,7 +350,10 @@ class Engine:
         chunks plus the same recent region, so their slabs stack into
         (H, k', l, d_head) arrays with the query at one shared position.
         The layer's one `attend` call reads them as pages in the identity
-        layout (read_at None), one page per slot, so no index take runs."""
+        layout (read_at None), one page per slot, so no index take runs.
+        Selection is encode's `_select` on a block of one row, the token
+        standing as chunk c, the layer's sealed count; it is traced one row
+        per head."""
         mc = self.model.config
         l = self.config.chunk_size
         rope = self.model.rope
@@ -380,16 +362,13 @@ class Engine:
         store.begin_step()
         max_pos = -1
         h = self.model.embed[np.array([token])]
-        layer0_ids = None
         for layer in range(mc.n_layers):
             x = rms_norm(h)
             Q, K, V = self.model.project_heads(layer, x)
-            ids, scores = self._decode_selection(layer, step, Q[:, 0])
-            if layer == 0:
-                layer0_ids = ids
-            elif self.config.policy in ("fix-layer", "fix-head-and-layer"):
-                ids = layer0_ids
-            self._record_decode(step, layer, ids, scores)
+            c = store.sealed_count(layer)
+            ids = self._select(layer, c, c + 1, 1, store.layer_reprs(layer), Q, step)[:, 0]
+            for head, chunks in enumerate(ids.tolist()):
+                self.trace.append(step, layer, head, chunks)
             recent = store.recent_len(layer)
             position = remap(ids, self.layout, recent, mc.pretrain_length)
             k_sel, v_sel, k_recent, v_recent = store.gather(layer, ids)
@@ -418,6 +397,7 @@ class Engine:
             h = h + self.model.merge_heads(attn) @ self.model.layers[layer].wo
             h = self.model.mlp(layer, h)
             store.append_token(layer, Q[:, 0], K[:, 0], V[:, 0], k_self[:, 0])
+        self._layer0_ids.clear()
         logits = self.model.logits_from_hidden(h)[0]
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"non-finite logits at decode step {step}")
@@ -432,29 +412,6 @@ class Engine:
             )
         )
         return logits
-
-    def _decode_selection(self, layer, step, queries):
-        """(H, k') ids and (H, C) scores of every head's selection for the
-        decode query `queries` (H, d). Candidates are the sealed chunks
-        strictly between the first and the last."""
-        cfg = self.config
-        last = self.store.sealed_count(layer) - 1
-        cands = self.store.layer_reprs(layer)[:, 1:last]
-        scores = np.matmul(cands, queries[:, :, None])[..., 0]
-        rngs = None
-        if cfg.policy == "random":
-            rngs = [[np.random.default_rng([cfg.seed, layer, head, step])]
-                    for head in range(len(queries))]
-        ids = select(scores[:, None], (last,), cfg.num_selected, cfg.policy, rngs)
-        return ids[:, 0], scores
-
-    def _record_decode(self, step, layer, ids, scores) -> None:
-        """Trace one row per head of the layer's selection."""
-        if self.record_scores:
-            self.trace.append_block(step, layer, np.arange(len(ids)), ids, scores)
-            return
-        for head, chunks in enumerate(ids.tolist()):
-            self.trace.append(step, layer, head, chunks)
 
     def counters_dict(self) -> dict:
         out = self.counters.to_dict()

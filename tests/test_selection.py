@@ -147,28 +147,35 @@ def test_apply_head_constraints():
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 65, 500])
 def test_scores_are_each_heads_own_product_bit_for_bit(count, monkeypatch):
     # A decode step with `count` candidates (chunks 1..count, last count + 1)
-    # records every head's scores; each must equal that head's own product.
+    # passes `select` every head's scores; each must equal that head's own
+    # product.
+    import chunkattn.engine as engine_module
+
     model = build_model(ModelConfig.create(
         n_layers=2, n_heads=4, d_head=16, vocab_size=64, pretrain_length=512, seed=7))
     l, n = 4, (count + 2) * 4 + 1  # the step adds a row to a partial chunk: no seal
-    engine = Engine(model, EngineConfig(chunk_size=l, num_selected=8), record_scores=True)
+    engine = Engine(model, EngineConfig(chunk_size=l, num_selected=8))
     engine.encode(random_tokens(n))
-    project, queries = model.project_heads, []
+    project, queries, passed = model.project_heads, [], []
 
     def keeping_queries(layer, x):
         Q, K, V = project(layer, x)
         queries.append(Q[:, 0])
         return Q, K, V
 
+    def keeping_scores(scores, *args):
+        passed.append(scores)
+        return select(scores, *args)
+
     monkeypatch.setattr(model, "project_heads", keeping_queries)
+    monkeypatch.setattr(engine_module, "select", keeping_scores)
     engine.generate(1)
     H = model.config.n_heads
-    blocks = [block for r, block in engine.trace.score_blocks if r >= 2 * n * H]
-    assert len(blocks) == len(queries) == 2
-    for layer, (scores, q) in enumerate(zip(blocks, queries)):
+    assert len(passed) == len(queries) == 2
+    for layer, (scores, q) in enumerate(zip(passed, queries)):
         cands = engine.store.layer_reprs(layer)[:, 1 : count + 1]
-        assert scores.shape == (H, count)
-        assert np.array_equal(scores, [cands[h] @ q[h] for h in range(H)])
+        assert scores.shape == (H, 1, count)
+        assert np.array_equal(scores[:, 0], [cands[h] @ q[h] for h in range(H)])
 
 
 def test_selection_set_requires_ascending_chunks():

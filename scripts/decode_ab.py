@@ -9,7 +9,8 @@ imports resolve. Each round builds one engine per tree at the CLI default
 model, encodes the same synthetic prompt in both and decodes `--steps`
 greedy tokens, one step of each engine in turn, the engine that steps
 first alternating from step to step. The default shape is the
-`decode_m512` benchmark workload's: n = 8192, l = 16, k = 8, offload.
+`decode_m512` benchmark workload's: n = 8192, l = 16, k = 8, offload,
+top-k; `--policy` selects another selection policy for both engines.
 
 Per round it prints each tree's decode p50 and p95 in ms, b's change
 from a in percent, and whether the two trees generated the same tokens;
@@ -20,7 +21,7 @@ resolves.
 
 Usage: python3 scripts/decode_ab.py --a OTHER/src [--b src] [--rounds 5]
            [--n 8192] [--chunk-size 16] [--k 8] [--residency offload]
-           [--steps 256]
+           [--steps 256] [--policy top-k]
 """
 
 import argparse
@@ -45,7 +46,7 @@ def load(tree: Path, name: str, into: Path):
 
 def engine_of(pkg, args):
     residency, budget = pkg.cli._parse_residency(args.residency)
-    config = pkg.EngineConfig(chunk_size=args.chunk_size, num_selected=args.k)
+    config = pkg.EngineConfig(chunk_size=args.chunk_size, num_selected=args.k, policy=args.policy)
     model = pkg.build_model(pkg.ModelConfig.create(**pkg.cli.DEFAULT_MODEL))
     return pkg.Engine(model, config, residency=residency, budget=budget)
 
@@ -78,6 +79,7 @@ def main() -> None:
     parser.add_argument("--chunk-size", type=int, default=16, help="chunk length l")
     parser.add_argument("--k", type=int, default=8, help="chunks selected per token")
     parser.add_argument("--residency", default="offload", help="hot, offload, or budget:N")
+    parser.add_argument("--policy", default="top-k", help="selection policy of both engines")
     parser.add_argument("--steps", type=int, default=256, help="decode steps per round")
     parser.add_argument("--rounds", type=int, default=5, help="rounds, each on a new prompt")
     args = parser.parse_args()
@@ -86,7 +88,7 @@ def main() -> None:
         sys.path.insert(0, tmp)
         pkgs = [load(args.a.resolve(), "chunkattn_a", Path(tmp)),
                 load(args.b.resolve(), "chunkattn_b", Path(tmp))]
-        print(f"n={args.n} l={args.chunk_size} k={args.k} {args.residency}, "
+        print(f"n={args.n} l={args.chunk_size} k={args.k} {args.residency} {args.policy}, "
               f"{args.steps} steps per round; a={args.a} b={args.b}")
         print("| round | a p50 | b p50 | Δp50 | a p95 | b p95 | Δp95 | tokens |")
         print("|---|---|---|---|---|---|---|---|")

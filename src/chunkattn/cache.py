@@ -271,10 +271,16 @@ class ChunkStore:
                 f"chunk ids must be an ({H}, width) integer matrix, got {ids.dtype} {ids.shape}"
             )
         sealed = self._sealed[layer]
-        unknown = (ids < 0) | (ids >= sealed)
-        bad = unknown.copy()
-        bad[:, 1:] |= ids[:, 1:] <= ids[:, :-1]
-        if bad.any():
+        # Rows strictly ascending, the first column's least id >= 0 and the
+        # last column's greatest < sealed put every id in range.
+        if ids.size and not (
+            ids[:, 0].min() >= 0
+            and ids[:, -1].max() < sealed
+            and (ids[:, 1:] > ids[:, :-1]).all()
+        ):
+            unknown = (ids < 0) | (ids >= sealed)
+            bad = unknown.copy()
+            bad[:, 1:] |= ids[:, 1:] <= ids[:, :-1]
             head, j = np.unravel_index(np.argmax(bad), bad.shape)
             if unknown[head, j]:
                 raise KeyError(f"unknown chunk id {ids[head, j]} (sealed: {sealed})")

@@ -352,13 +352,15 @@ class Engine:
         The layer's one `attend` call reads them as pages in the identity
         layout (read_at None), one page per slot, so no index take runs.
         Selection is encode's `_select` on a block of one row, the token
-        standing as chunk c, the layer's sealed count; it is traced one row
-        per head."""
+        standing as chunk c, the layer's sealed count; its (H, width) ids go
+        to the trace in one `append` and to the store's `gather` as they
+        are."""
         mc = self.model.config
         l = self.config.chunk_size
         rope = self.model.rope
         store = self.store
         step = self.layout.n
+        heads = np.arange(mc.n_heads)
         store.begin_step()
         max_pos = -1
         h = self.model.embed[np.array([token])]
@@ -367,8 +369,7 @@ class Engine:
             Q, K, V = self.model.project_heads(layer, x)
             c = store.sealed_count(layer)
             ids = self._select(layer, c, c + 1, 1, store.layer_reprs(layer), Q, step)[:, 0]
-            for head, chunks in enumerate(ids.tolist()):
-                self.trace.append(step, layer, head, chunks)
+            self.trace.append(step, layer, heads, ids)
             recent = store.recent_len(layer)
             position = remap(ids, self.layout, recent, mc.pretrain_length)
             k_sel, v_sel, k_recent, v_recent = store.gather(layer, ids)
@@ -475,7 +476,9 @@ def select(scores: np.ndarray, last, k: int, policy: str = "top-k", rngs=None) -
         raise ValueError(f"{policy} ranks up to {hi - 1} candidates, but scores hold {C}")
 
     # ids run [0,] the picks, ascending, then last: every pick lies
-    # strictly between the first chunk and the last. The zeros hold chunk 0.
+    # strictly between the first chunk and the last. rank_top's sets and
+    # last-k's run are ascending already; only random's draws are sorted.
+    # The zeros hold chunk 0.
     ids = np.zeros((H, T, width), dtype=np.int64)
     keep_first = base != "no-first"
     take = width - 1 - keep_first
@@ -492,7 +495,7 @@ def select(scores: np.ndarray, last, k: int, policy: str = "top-k", rngs=None) -
                 pool = np.arange(1, last[t], dtype=np.int64)
                 for head in range(H):
                     picked[head, t] = rngs[head][t].choice(pool, size=take, replace=False)
-        picked.sort(axis=-1)
+            picked.sort(axis=-1)
         ids[..., keep_first:-1] = picked
     if width:
         ids[..., -1] = last

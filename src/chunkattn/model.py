@@ -249,9 +249,7 @@ class TokenSequence:
 
 @dataclass
 class LayerWeights:
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    wqkv: np.ndarray  # (d_model, 3 * d_model): the Q, K and V projections side by side
     wo: np.ndarray
     w_up: np.ndarray
     w_down: np.ndarray
@@ -276,30 +274,26 @@ class HostModel:
     def _weight_arrays(self):
         yield self.embed
         for lw in self.layers:
-            yield lw.wq
-            yield lw.wk
-            yield lw.wv
+            yield lw.wqkv
             yield lw.wo
             yield lw.w_up
             yield lw.w_down
         yield self.w_out
 
     def project_heads(self, layer: int, x: np.ndarray):
-        """Project a (t, d_model) block into per-head (H, t, d_head) Q, K, V."""
+        """Project a (t, d_model) block into per-head (H, t, d_head) Q, K, V:
+        one (t, d_model) @ (d_model, 3 * d_model) product, split into three
+        C-contiguous arrays, so that each can be dropped on its own."""
         if not 0 <= layer < self.config.n_layers:
             raise ValueError(f"layer {layer} out of range")
         if x.ndim != 2 or x.shape[1] != self.config.d_model:
             raise ValueError(
                 f"expected hidden of shape (tokens, {self.config.d_model}), got {x.shape}"
             )
-        lw = self.layers[layer]
-        h_count, d = self.config.n_heads, self.config.d_head
-        t = x.shape[0]
-
-        def split(mat):
-            return np.ascontiguousarray((x @ mat).reshape(t, h_count, d).transpose(1, 0, 2))
-
-        return split(lw.wq), split(lw.wk), split(lw.wv)
+        heads = (x @ self.layers[layer].wqkv).reshape(
+            x.shape[0], 3, self.config.n_heads, self.config.d_head
+        ).transpose(1, 2, 0, 3)
+        return tuple(np.ascontiguousarray(part) for part in heads)
 
     def logits_from_hidden(self, hidden: np.ndarray) -> np.ndarray:
         """(t, vocab) logits of (t, d_model) final hidden rows, computed in
@@ -332,9 +326,7 @@ def build_model(config: ModelConfig) -> HostModel:
     for _ in range(config.n_layers):
         layers.append(
             LayerWeights(
-                wq=rng.normal(0.0, scale, (dm, dm)),
-                wk=rng.normal(0.0, scale, (dm, dm)),
-                wv=rng.normal(0.0, scale, (dm, dm)),
+                wqkv=np.concatenate([rng.normal(0.0, scale, (dm, dm)) for _ in range(3)], axis=1),
                 wo=rng.normal(0.0, scale, (dm, dm)),
                 w_up=rng.normal(0.0, scale, (dm, 4 * dm)),
                 w_down=rng.normal(0.0, scale, (4 * dm, dm)),
@@ -345,14 +337,19 @@ def build_model(config: ModelConfig) -> HostModel:
 
 
 def as_token_array(tokens, vocab_size: int) -> np.ndarray:
+    """`tokens` as a flat int64 array of ids in [0, vocab_size). Only
+    integer input is taken: floats, booleans and strings raise, rather than
+    being cast to ids."""
     if isinstance(tokens, TokenSequence):
         tokens = tokens.tokens
-    toks = np.asarray(tokens, dtype=np.int64)
+    toks = np.asarray(tokens)
     if toks.ndim != 1:
         raise ValueError(f"expected a flat token sequence, got shape {toks.shape}")
+    if toks.size and toks.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got dtype {toks.dtype}")
     if toks.size and (toks.min() < 0 or toks.max() >= vocab_size):
         raise ValueError(f"token ids must lie in [0, {vocab_size})")
-    return toks
+    return toks.astype(np.int64, copy=False)
 
 
 def full_attention_forward(

@@ -1,4 +1,4 @@
-"""Ranking of candidate chunk scores: `rank_top`, the top-k that
+"""Top-k sets of candidate chunk scores: `rank_top`, the top-k that
 `engine.select` picks chunks with and `analysis.top_hits` scores hits with.
 
 Scores arrive as blocks of rows, one row per (head, query), so one call
@@ -9,21 +9,26 @@ from __future__ import annotations
 
 import numpy as np
 
-# rank_top ranks a block of rows of C scores by a stable argsort when
-# C <= ARGSORT_MAX_LENGTH or the block holds at most ARGSORT_MAX_SCORES
-# scores, else by a threshold top-k. The argsort's cost per score grows with
-# C; the threshold's is flatter but has a fixed part, which pays off sooner
-# the more rows share it: on 4-row decode blocks from about 256 scores a
-# row, on encode's 256- and 512-row blocks from about 20 (at 62, 494 against
-# 161 µs). scripts/rank_top_shapes.py times both paths (see CHANGES.md).
+# rank_top finds the top-k sets of a block of rows of C scores by a stable
+# argsort when C <= ARGSORT_MAX_LENGTH or the block holds at most
+# ARGSORT_MAX_SCORES scores, else by a threshold top-k. The argsort's cost
+# per score grows with C; the threshold's is flatter but has a fixed part,
+# which pays off sooner the more rows share it. With sets in place of
+# rankings it wins on 4-row decode blocks from about 192 scores a row (10.9
+# against 12.5 µs; 11.5 against 17.7 at 256, where the limits still take
+# the argsort) and on 256-row encode blocks from about 12 (33.8 against
+# 39.8 µs), and loses on 32-row blocks of 32 (13.5 against 9.9).
+# scripts/rank_top_shapes.py times both paths (see CHANGES.md).
 ARGSORT_MAX_LENGTH = 16
 ARGSORT_MAX_SCORES = 1024
 
 
 def rank_top(scores: np.ndarray, take: int, limit=None) -> np.ndarray:
-    """Positions of the `take` best scores along the last axis, in rank
-    order; ties go to the lower position and NaN ranks last. Leading axes
-    are treated as batch dimensions.
+    """Positions of the `take` best scores along the last axis, as a set:
+    each row's positions in ascending order, not in rank order. Ties go to
+    the lower position and NaN ranks last, so the set is the first `take`
+    of a stable argsort of the negated scores. Leading axes are treated as
+    batch dimensions.
 
     `limit`, if given, broadcasts against the leading axes: each row ranks
     only its first `limit` positions, as if the rest were sliced off. Every
@@ -42,26 +47,28 @@ def rank_top(scores: np.ndarray, take: int, limit=None) -> np.ndarray:
 
 
 def _argsort_top(scores, take, limit):
-    """The stable argsort of each row's negated scores; positions at or
-    past the row's `limit` rank as NaN, after every other one."""
+    """The first `take` of the stable argsort of each row's negated
+    scores, sorted; positions at or past the row's `limit` rank as NaN,
+    after every other one."""
     if limit is None:
         neg = -scores
     else:
         neg = np.where(np.arange(scores.shape[-1]) < limit, -scores, np.nan)
-    return np.argsort(neg, axis=-1, kind="stable")[..., :take]
+    top = np.argsort(neg, axis=-1, kind="stable")[..., :take]
+    top.sort(axis=-1)
+    return top
 
 
 def _threshold_top(flat, take, limit):
     """`np.partition` finds each (rows, C) row's take-th best score, with
     the positions at or past its `limit` at -inf. The picks are the
-    positions before the limit whose scores are at or above it, in position
-    order from one `flatnonzero`, then ordered by a stable argsort of their
-    scores.
+    positions before the limit whose scores are at or above it, in
+    ascending order from one `flatnonzero`.
 
-    The picks are the argsort's exactly when a row keeps `take` positions;
-    else a score ties the boundary (the argsort may prefer its lower
-    position) or a NaN was met (no comparison with it holds), and the row
-    takes the argsort.
+    The picks are the argsort's set exactly when a row keeps `take`
+    positions; else a score ties the boundary (the argsort may prefer its
+    lower position) or a NaN was met (no comparison with it holds), and the
+    row takes the argsort.
     """
     rows, count = flat.shape
     part = flat.copy()
@@ -77,16 +84,9 @@ def _threshold_top(flat, take, limit):
         before = col < limit[row, 0]
         row, col = row[before], col[before]
     exact = np.bincount(row, minlength=rows) == take
-    inexact = not exact.all()
-    if inexact:
-        keep = exact[row]
-        row, col = row[keep], col[keep]
-    col = col.reshape(-1, take)
-    order = np.argsort(-flat[row.reshape(-1, take), col], axis=-1, kind="stable")
-    picks = col[np.arange(len(col))[:, None], order]
-    if not inexact:
-        return picks
+    if exact.all():
+        return col.reshape(rows, take)
     top = np.empty((rows, take), dtype=np.intp)
-    top[exact] = picks
+    top[exact] = col[exact[row]].reshape(-1, take)
     top[~exact] = _argsort_top(flat[~exact], take, None if limit is None else limit[~exact])
     return top

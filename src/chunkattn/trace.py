@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -35,8 +36,9 @@ class SelectionTrace:
     still comes from `json.dumps`, one call per score block and write
     block.
 
-    Single-row `append`s, one per (layer, head) in each decode step, wait
-    in a list and move into the columns at the next read or block write.
+    `append`s, one (H, width) block per layer in each decode step, wait in
+    a list, kept, not copied, and move into the columns at the next read or
+    block write, one concatenation per run of blocks of equal width.
     """
 
     def __init__(self, meta: dict | None = None):
@@ -65,7 +67,12 @@ class SelectionTrace:
         self._ids, self._cols = ids, cols
 
     def append(self, step, layer, head, chunks) -> None:
-        self._pending.append((step, layer, head, tuple(chunks)))
+        """Append one row's `chunks`, or a (rows, width) id matrix's rows,
+        as `append_block` does without scores. `step` and `layer` are ints
+        and `head` an int or a per-row array. The rows wait until the next
+        read or block write, and the matrix is kept, not copied."""
+        ids = np.asarray(chunks, dtype=np.int64)
+        self._pending.append((step, layer, head, ids[None] if ids.ndim == 1 else ids))
 
     def append_block(self, step, layer, head, ids, scores=None) -> None:
         """Append len(ids) rows at once. `step`, `layer` and `head` are ints
@@ -84,16 +91,15 @@ class SelectionTrace:
         self._write(step, layer, head, ids.shape[1], ids)
 
     def _flush(self) -> None:
-        """Move the pending single-row appends into the columns."""
-        if not self._pending:
-            return
-        steps, layers, heads, chunks = zip(*self._pending)
-        self._pending = []
-        widths = [len(c) for c in chunks]
-        ids = np.full((len(chunks), max(widths)), -1, dtype=np.int64)
-        for row, c in zip(ids, chunks):
-            row[: len(c)] = c
-        self._write(steps, layers, heads, widths, ids)
+        """Move the pending appends into the columns, one write per run of
+        blocks of equal width."""
+        pending, self._pending = self._pending, []
+        for width, run in groupby(pending, key=lambda block: block[3].shape[1]):
+            steps, layers, heads, ids = zip(*run)
+            rows = [len(block) for block in ids]
+            head = [np.full(r, h) if np.ndim(h) == 0 else h for h, r in zip(heads, rows)]
+            self._write(np.repeat(steps, rows), np.repeat(layers, rows), np.concatenate(head),
+                        width, np.concatenate(ids))
 
     def _write(self, step, layer, head, width, ids) -> None:
         count, k = ids.shape
@@ -109,7 +115,8 @@ class SelectionTrace:
         self._n = r + count
 
     def __len__(self) -> int:
-        return self._n + len(self._pending)
+        self._flush()
+        return self._n
 
     @property
     def step(self) -> np.ndarray:

@@ -132,6 +132,8 @@ def test_rejected_gather_leaves_the_store_unchanged():
     with pytest.raises(KeyError, match="unknown chunk id 9"):
         store.gather(0, [[0, 1], [1, 9]])
     assert store_state(store) == before
+    with pytest.raises(KeyError, match="unknown chunk id -1"):
+        store.gather(0, [[0, 1], [-1, 2]])
     with pytest.raises(ValueError, match="ascending"):
         store.gather(0, [[0, 1], [2, 2]])
     with pytest.raises(ValueError, match="integer"):

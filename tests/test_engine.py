@@ -239,6 +239,26 @@ def test_token_validation(tiny_model):
         engine.encode([999])
 
 
+def test_encode_rejects_non_integer_tokens_and_stays_usable(tiny_model):
+    # no cast to ids: 1.7 is not token 1, True not token 1, '3' not token 3
+    engine = make_engine(tiny_model)
+    for tokens, dtype in (([1.7], "float64"), ([True], "bool"), (["3"], "<U1"),
+                          (np.array([1.0, 2.0]), "float64")):
+        with pytest.raises(ValueError, match=f"integers, got dtype {dtype}"):
+            engine.encode(tokens)
+    assert engine.layout is None and len(engine.trace) == 0
+    toks = random_tokens(40)
+    np.testing.assert_array_equal(engine.encode(toks), make_engine(tiny_model).encode(toks))
+
+
+def test_encode_accepts_integer_tokens_of_any_width(tiny_model):
+    toks = random_tokens(40)
+    expected = make_engine(tiny_model).encode(toks.tolist())
+    for dtype in (np.int32, np.uint8, np.int64):
+        got = make_engine(tiny_model).encode(toks.astype(dtype))
+        np.testing.assert_array_equal(got, expected)
+
+
 def test_token_sequence_input(tiny_model):
     from chunkattn import TokenSequence
 

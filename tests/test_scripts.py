@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # script name -> its arguments at the smallest size; "{tmp}" is the run's
 # temporary directory
 ARGS = {
-    "decode_ab.py": ["--n", "40", "--steps", "4", "--rounds", "1"],
+    "decode_ab.py": ["--n", "40", "--steps", "4", "--rounds", "1", "--policy", "fix-head"],
     "encode_memory.py": ["--n", "300"],
     "rank_top_shapes.py": ["--repeats", "1"],
     "selection_quality.py": ["--m-list", "16", "--trials", "2", "--out", "{tmp}/quality"],

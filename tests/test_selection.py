@@ -261,6 +261,14 @@ def _expected_order(scores):
     }
 
 
+def assert_top_set(got, scores, take):
+    """`got` is each row's first `take` positions of the stable argsort of
+    its negated scores, as a set: in ascending order."""
+    top = np.argsort(-scores, axis=-1, kind="stable")[..., :take]
+    np.testing.assert_array_equal(got, np.sort(top, axis=-1))
+    assert (np.diff(got, axis=-1) > 0).all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
@@ -282,9 +290,9 @@ def test_rank_top_ties_go_to_lower_position(data, shape, spread, seed):
     expected_order = _expected_order(scores)
     for take in takes:
         got = rank_top(scores, take)
-        np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[..., :take])
+        assert_top_set(got, scores, take)
         for batch in np.ndindex(shape[:-1]):
-            assert list(got[batch]) == expected_order[batch][:take]
+            assert list(got[batch]) == sorted(expected_order[batch][:take])
 
 
 @settings(max_examples=150, deadline=None)
@@ -309,8 +317,7 @@ def test_rank_top_limit_ranks_each_rows_own_prefix(shape, take, spread, nan, see
     got = rank_top(scores, take, limit)
     assert got.shape == shape[:-1] + (take,)
     for batch in np.ndindex(shape[:-1]):
-        row = scores[batch][: limit[batch[1:]]]
-        np.testing.assert_array_equal(got[batch], np.argsort(-row, kind="stable")[:take])
+        assert_top_set(got[batch], scores[batch][: limit[batch[1:]]], take)
 
 
 def test_rank_top_partition_path_handles_nan_and_inf():
@@ -323,17 +330,14 @@ def test_rank_top_partition_path_handles_nan_and_inf():
     scores[4, [2, 7, 30]] = scores[4].max() + 1.0  # a tie among the picks
     scores[5] = np.nan
     for take in (1, 6, 20):
-        got = rank_top(scores, take)
-        np.testing.assert_array_equal(got, np.argsort(-scores, axis=-1, kind="stable")[:, :take])
+        assert_top_set(rank_top(scores, take), scores, take)
     # Past a limit, scores above every kept one; with two NaNs before it,
     # row 0's kept scores and the cut-off ones add up to exactly `take`.
     limit = scores.shape[1] - 2
     scores[:, limit:] = 1e9
     scores[0, [5, 9]] = np.nan
     for take in (1, 6, 20):
-        got = rank_top(scores, take, limit)
-        expected = np.argsort(-scores[:, :limit], axis=-1, kind="stable")[:, :take]
-        np.testing.assert_array_equal(got, expected)
+        assert_top_set(rank_top(scores, take, limit), scores[:, :limit], take)
 
 
 @settings(max_examples=200, deadline=None)

@@ -226,3 +226,61 @@ def test_columnar_trace_matches_per_record_reference(case, tmp_path_factory):
                     assert hit_rate(trace, targets, top) == rate
                     if len(set(targets)) == 1:
                         assert hit_rate(trace, int(targets[0]), top) == rate
+
+
+@st.composite
+def decode_ops(draw):
+    """Decode steps, each one (H, width) id block per layer with widths
+    growing from 0 to k, with block writes and reads between them."""
+    heads, layers = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    k, m = draw(st.integers(0, 6)), draw(st.integers(1, 12))
+    ids = st.integers(-1, m + 3)
+    pace = draw(st.integers(1, 3))  # steps per unit of width
+    ops = []
+    for step in range(draw(st.integers(0, 12))):
+        width = min(k, step // pace)
+        for layer in range(layers):
+            block = draw(hnp.arrays(np.int64, (heads, width), elements=ids))
+            ops.append(("append", step, layer, block))
+        if draw(st.booleans()):
+            count, w = draw(st.integers(0, 4)), draw(st.integers(0, k + 1))
+            block = draw(hnp.arrays(np.int64, (count, w), elements=ids))
+            scores = None
+            if draw(st.booleans()):
+                scores = draw(hnp.arrays(np.float64, (count, draw(st.integers(0, 4)))))
+            ops.append(("block", step, draw(st.integers(0, 3)), block, scores))
+        if draw(st.booleans()):
+            ops.append(("read",))
+    return m, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=decode_ops())
+def test_pending_decode_blocks_match_rows_written_one_at_a_time(case, tmp_path_factory):
+    # decode's one append per layer waits, then joins the columns with its
+    # neighbours of equal width; the result must be that of writing each
+    # row on its own, in the same order
+    m, ops = case
+    trace, reference = SelectionTrace(meta={"m": m}), SelectionTrace(meta={"m": m})
+    for op in ops:
+        if op[0] == "append":
+            _, step, layer, block = op
+            trace.append(step, layer, np.arange(len(block)), block)
+            for head, row in enumerate(block):
+                reference.append_block(step, layer, head, row[None])
+        elif op[0] == "block":
+            _, step, layer, block, scores = op
+            trace.append_block(step, layer, np.arange(len(block)), block, scores)
+            reference.append_block(step, layer, np.arange(len(block)), block, scores)
+        else:
+            assert len(trace) == len(reference)
+
+    assert len(trace) == len(reference)
+    for name in ("step", "layer", "head", "width", "chunk_ids"):
+        np.testing.assert_array_equal(getattr(trace, name), getattr(reference, name))
+    assert [r for r, _ in trace.score_blocks] == [r for r, _ in reference.score_blocks]
+    np.testing.assert_array_equal(trace.selection_counts(m), reference.selection_counts(m))
+    out = tmp_path_factory.mktemp("pending")
+    trace.to_json(out / "a.json")
+    reference.to_json(out / "b.json")
+    assert (out / "a.json").read_bytes() == (out / "b.json").read_bytes()

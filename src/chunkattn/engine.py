@@ -9,12 +9,13 @@ block of queries against the chunk summaries and calls `select`; decode's
 block is its one token. Both read the selected slabs as pages of one
 `attend` kernel: encode's pages are shared by the tokens that read a chunk,
 decode's each hold one slot.
-The full-attention oracle lives alongside for equivalence checks.
+`OracleDecoder` steps `model.full_attention_forward` through its cache,
+the full-attention reference for equivalence checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -67,23 +68,6 @@ class EngineCounters:
     encode_max_attended_rows: int = 0
     encode_max_rotary_position: int = -1
     steps: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "encode_tokens": self.encode_tokens,
-            "encode_max_attended_rows": self.encode_max_attended_rows,
-            "encode_max_rotary_position": self.encode_max_rotary_position,
-            "steps": [
-                {
-                    "step": s.step,
-                    "rows_gathered": s.rows_gathered,
-                    "rows_loaded": s.rows_loaded,
-                    "max_attended_rows": s.max_attended_rows,
-                    "max_rotary_position": s.max_rotary_position,
-                }
-                for s in self.steps
-            ],
-        }
 
 
 class Engine:
@@ -315,10 +299,8 @@ class Engine:
 
     # -- generation --------------------------------------------------------
 
-    def generate(self, steps: int, sampler: str = "greedy") -> TokenSequence:
+    def generate(self, steps: int) -> TokenSequence:
         """Greedy-decode `steps` tokens after encode()."""
-        if sampler != "greedy":
-            raise ValueError(f"unsupported sampler {sampler!r}")
         if steps < 0:
             raise ValueError(f"steps={steps} must be >= 0")
         self._check_not_failed()
@@ -415,7 +397,7 @@ class Engine:
         return logits
 
     def counters_dict(self) -> dict:
-        out = self.counters.to_dict()
+        out = asdict(self.counters)
         out["store"] = self.store.counters()
         return out
 
@@ -525,26 +507,28 @@ def _encode_groups(bounds, widths, l):
 class OracleDecoder:
     """Incremental full-attention greedy decoder with row accounting.
 
-    Attends every cached row at every step, so its per-step attended-row
-    count grows with the prompt length; the chunked engine's does not.
+    It holds one `full_attention_forward` cache: encode is one call over
+    the prompt and each greedy step one call on its token. Every step
+    attends every cached row, so its attended-row count, the cache's row
+    count after the step, grows with the prompt length; the chunked
+    engine's does not.
     """
 
-    def __init__(self, model: HostModel, block_size: int = 512):
+    def __init__(self, model: HostModel):
         self.model = model
-        self.block_size = block_size
-        self.n = 0
         self.last_logits: np.ndarray | None = None
-        self._k_cache: list | None = None
-        self._v_cache: list | None = None
         self.attended_rows_per_step: list = []
+        self._cache: list = []
+
+    @property
+    def n(self) -> int:
+        """Tokens processed so far: the cache's row count."""
+        return self._cache[0][0].shape[1] if self._cache else 0
 
     def encode(self, tokens) -> np.ndarray:
-        logits, caches, _ = full_attention_forward(
-            self.model, tokens, block_size=self.block_size, return_state=True
-        )
-        self._k_cache = [k for k, _ in caches]
-        self._v_cache = [v for _, v in caches]
-        self.n = logits.shape[0]
+        cache = []
+        logits = full_attention_forward(self.model, tokens, cache=cache)
+        self._cache = cache
         self.last_logits = logits[-1]
         return logits
 
@@ -558,34 +542,7 @@ class OracleDecoder:
         for _ in range(steps):
             token = int(np.argmax(logits))
             out.append(token)
-            logits = self._decode_token(token)
+            logits = full_attention_forward(self.model, [token], cache=self._cache)[0]
+            self.attended_rows_per_step.append(self.n)
         self.last_logits = logits
         return TokenSequence(tuple(out))
-
-    def _decode_token(self, token: int) -> np.ndarray:
-        model = self.model
-        mc = model.config
-        pos = self.n
-        if pos >= mc.pretrain_length:
-            raise ValueError(
-                f"position {pos} exceeds pretrain length {mc.pretrain_length}"
-            )
-        h = model.embed[np.array([token])]
-        pos_arr = np.array([pos])
-        for layer in range(mc.n_layers):
-            x = rms_norm(h)
-            Q, K, V = model.project_heads(layer, x)
-            k_rot = model.rope.apply(K, pos_arr)
-            q_rot = model.rope.apply(Q, pos_arr)
-            self._k_cache[layer] = np.concatenate([self._k_cache[layer], k_rot], axis=1)
-            self._v_cache[layer] = np.concatenate([self._v_cache[layer], V], axis=1)
-            head_out = np.empty_like(Q)
-            for head in range(mc.n_heads):
-                head_out[head] = attend(
-                    q_rot[head], self._k_cache[layer][head], self._v_cache[layer][head]
-                )
-            h = h + model.merge_heads(head_out) @ model.layers[layer].wo
-            h = model.mlp(layer, h)
-        self.attended_rows_per_step.append(pos + 1)
-        self.n += 1
-        return model.logits_from_hidden(h)[0]

@@ -352,50 +352,51 @@ def as_token_array(tokens, vocab_size: int) -> np.ndarray:
     return toks.astype(np.int64, copy=False)
 
 
-def full_attention_forward(
-    model: HostModel,
-    tokens,
-    *,
-    block_size: int = 512,
-    return_state: bool = False,
-):
-    """Vanilla causal attention over the whole sequence at positions 0..n-1.
+def full_attention_forward(model: HostModel, tokens, *, cache=None, block_size: int = 512):
+    """Vanilla causal attention at positions 0.., the oracle the chunked
+    engine is checked against, and the only full-attention forward.
 
-    This is the oracle the chunked engine is checked against. Queries run in
-    blocks that attend only the keys up to their own end, so long sequences
-    stay within memory; results match the unblocked ones to rounding.
-
-    With return_state=True also returns per-layer (rotated K, V) caches and
-    the final hidden states, for incremental oracle decoding.
+    `cache`, a list of per-layer (rotated K, V) arrays of shape (H, P,
+    d_head), puts the tokens at positions P.. after the P cached rows: they
+    attend those rows and their own, and their rows are appended to it (an
+    empty list is filled). Queries run in blocks of `block_size` that attend
+    only the rows up to their own end, so long sequences stay within
+    memory; results match the unblocked ones to rounding. Returns the
+    tokens' (t, vocab) logits.
     """
     cfg = model.config
     toks = as_token_array(tokens, cfg.vocab_size)
     n = toks.size
     if n == 0:
         raise ValueError("empty token sequence")
-    if n > cfg.pretrain_length:
+    cache = [] if cache is None else cache
+    filled = bool(cache)
+    start = cache[0][0].shape[1] if filled else 0
+    if start + n > cfg.pretrain_length:
         raise ValueError(
-            f"sequence length {n} exceeds pretrain length {cfg.pretrain_length}"
+            f"sequence length {start + n} exceeds pretrain length {cfg.pretrain_length}"
         )
-    positions = np.arange(n)
+    positions = np.arange(start, start + n)
     h = model.embed[toks]
-    caches = []
     for layer in range(cfg.n_layers):
-        x = rms_norm(h)
-        Q, K, V = model.project_heads(layer, x)
+        Q, K, V = model.project_heads(layer, rms_norm(h))
         q_rot = model.rope.apply(Q, positions)
         k_rot = model.rope.apply(K, positions)
+        if filled:
+            k_rot = np.concatenate([cache[layer][0], k_rot], axis=1)
+            V = np.concatenate([cache[layer][1], V], axis=1)
+            cache[layer] = (k_rot, V)
+        else:
+            cache.append((k_rot, V))
         out = np.empty_like(Q)
         for head in range(cfg.n_heads):
             for q0 in range(0, n, block_size):
                 q1 = min(q0 + block_size, n)
-                mask = causal_mask(q1 - q0, q1, offset=q0)
-                out[head, q0:q1] = attend(q_rot[head, q0:q1], k_rot[head, :q1], V[head, :q1], mask)
+                rows = start + q1
+                mask = causal_mask(q1 - q0, rows, offset=start + q0)
+                out[head, q0:q1] = attend(
+                    q_rot[head, q0:q1], k_rot[head, :rows], V[head, :rows], mask
+                )
         h = h + model.merge_heads(out) @ model.layers[layer].wo
         h = model.mlp(layer, h)
-        if return_state:
-            caches.append((k_rot, V))
-    logits = model.logits_from_hidden(h)
-    if return_state:
-        return logits, caches, h
-    return logits
+    return model.logits_from_hidden(h)

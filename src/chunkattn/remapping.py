@@ -19,22 +19,17 @@ def remap(ids, layout: ChunkLayout, recent_len: int, max_positions: int) -> int:
 
     Every sealed chunk holds chunk_size rows, so each head of an (H, width)
     id matrix puts its query at width * chunk_size + recent_len; that
-    position is returned. Key rows sit at 0..position-1. Raises when the
-    span would not fit below `max_positions`, which signals a misconfigured
-    (k, l, L) triple rather than anything recoverable at attention time.
+    position is returned. Key rows sit at 0..position-1. Only the matrix's
+    width is read: the ids themselves are checked where they are used, by
+    `ChunkStore.gather`. Raises when the span would not fit below
+    `max_positions`, which signals a misconfigured (k, l, L) triple rather
+    than anything recoverable at attention time.
     """
     if recent_len < 0:
         raise ValueError(f"recent_len={recent_len} must be >= 0")
     if recent_len > layout.n:
         raise ValueError(f"recent_len={recent_len} exceeds stream length {layout.n}")
-    ids = np.asarray(ids)
-    sealed = layout.m_complete
-    if ids.size:
-        lo, hi = int(ids.min()), int(ids.max())
-        if lo < 0 or hi >= sealed:
-            bad = lo if lo < 0 else hi
-            raise ValueError(f"chunk {bad} outside layout with {sealed} sealed chunks")
-    position = ids.shape[-1] * layout.chunk_size + recent_len
+    position = np.shape(ids)[-1] * layout.chunk_size + recent_len
     if position + 1 > max_positions:
         raise ValueError(
             f"remapped span of {position} rows plus the query does not fit below "

@@ -116,6 +116,22 @@ def test_gather_rejects_unknown_and_unordered():
         store.gather(0, [0, 1])
 
 
+def test_gather_rejects_ids_outside_the_sealed_chunks():
+    store = make_store(l=4)
+    fill_chunks(store, 2)
+    with pytest.raises(KeyError, match="unknown chunk id 5"):
+        store.gather(0, [[0, 5]])
+    with pytest.raises(KeyError, match="unknown chunk id -1"):
+        store.gather(0, [[-1, 0]])
+    # the partial tail chunk is the recent region, never a selected chunk
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        store.append_token(0, *rng.normal(size=(4, 1, 4)))
+    assert (store.sealed_count(0), store.recent_len(0)) == (2, 2)
+    with pytest.raises(KeyError, match="unknown chunk id 2"):
+        store.gather(0, [[0, 2]])
+
+
 def store_state(store):
     """Everything a gather may change on layer 0 of a two-head store."""
     flags = [store.residency_flags(0, head) for head in range(2)]

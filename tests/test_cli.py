@@ -332,6 +332,16 @@ PINNED = {
         "counters.json": "c7b08ecac3c2e730b26a505c65b7acda9275aeae434cd42f921902e05297aeba",
         "metrics.json": "c4a1bbc7871aa846d6511ffeabfae44197e59453dcb27e7871cf73daf7038dfe",
     },
+    "equivalence": {
+        "metrics.json": "7dae61d990e711c04e5298ddc4db7ccd38bd1d5a09eb52c304f54a919fb6c6ed",
+        "trace.json": "bea69d83b197ff60cf6126ecb665880e60f7debdded814127d404fa19fd7451f",
+        "counters.json": "78c1995f8eb9ac88b5bba911feb3e054f8263ef7694407bcd31f0b2d62532a77",
+        "heatmap.csv": "62d08cfa508b6a910ca15a07f83470255c9a77a9b791623b84c354c6b3c7d2df",
+    },
+    "scaling": {
+        "counters.json": "80727fe93ee6a24aade3c3f68bacfe13d43d495e92a9c7209142c29c9b11e237",
+        "metrics.json": "27d2e9d1a9c1dc8d38c8a34ba72b6aac6e6d3c205890e1dc09e31e791f270559",
+    },
 }
 SHAPE = ["--m", "12", "--k", "4", "--trials", "20", "--heads", "2", "--chunk-size", "8",
          "--gap", "0.4", "--seed", "3"]
@@ -349,3 +359,14 @@ def test_run_artifacts_match_pinned_digests(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--descriptor", str(descriptor_setup(tmp_path)), "--out", str(out)]) == 0
     assert artifact_digests(out, PINNED["run"]) == PINNED["run"]
+
+
+def test_equivalence_and_scaling_artifacts_match_pinned_digests(tmp_path):
+    # the scaling counters hold the oracle's attended rows, n + 1 + j
+    equivalence = ["--n", "96", "--steps", "6", "--k", "4", "--chunk-size", "32", "--seed", "5"]
+    scaling = ["--n-list", "128,256", "--steps", "3", "--k", "4", "--chunk-size", "16",
+               "--seed", "2"]
+    assert main(["equivalence", *equivalence, "--out", str(tmp_path / "equivalence")]) == 0
+    assert main(["scaling", *scaling, "--out", str(tmp_path / "scaling")]) == 0
+    for command in ("equivalence", "scaling"):
+        assert artifact_digests(tmp_path / command, PINNED[command]) == PINNED[command]

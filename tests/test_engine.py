@@ -55,10 +55,8 @@ def test_saturated_selection_matches_oracle(tiny_model):
     toks = random_tokens(128)
     engine = make_engine(tiny_model, l=32, k=4)
     logits = engine.encode(toks)
-    oracle_logits = full_attention_forward(tiny_model, toks)
-    assert np.max(np.abs(logits - oracle_logits)) < 1e-5
     oracle = OracleDecoder(tiny_model)
-    oracle.encode(toks)
+    assert np.max(np.abs(logits - oracle.encode(toks))) < 1e-5
     assert engine.generate(24).tokens == oracle.generate(24).tokens
 
 
@@ -222,8 +220,6 @@ def test_engine_lifecycle_errors(tiny_model):
     engine.encode(random_tokens(10))
     with pytest.raises(RuntimeError, match="already"):
         engine.encode(random_tokens(10))
-    with pytest.raises(ValueError, match="sampler"):
-        engine.generate(1, sampler="nucleus")
 
 
 def test_last_logits_do_not_pin_the_encode_logits(tiny_model):

@@ -170,6 +170,29 @@ def test_full_attention_blocked_matches_unblocked(tiny_model):
     np.testing.assert_allclose(blocked, whole, atol=1e-12)
 
 
+def test_full_attention_steps_through_its_cache(tiny_model):
+    # one call over n tokens against a prefix call, then one call per token
+    n, prefix = 90, 70
+    toks = random_tokens(n)
+    whole = full_attention_forward(tiny_model, toks)
+    cache = []
+    parts = [full_attention_forward(tiny_model, toks[:prefix], cache=cache)]
+    for token in toks[prefix:]:
+        parts.append(full_attention_forward(tiny_model, [token], cache=cache))
+    np.testing.assert_allclose(np.concatenate(parts), whole, atol=1e-12)
+    cfg = tiny_model.config
+    assert len(cache) == cfg.n_layers
+    for k_rot, v in cache:
+        assert k_rot.shape == v.shape == (cfg.n_heads, n, cfg.d_head)
+    # the refusal counts the cached rows, and leaves the cache as it was
+    room = cfg.pretrain_length - n
+    with pytest.raises(ValueError, match="exceeds pretrain length"):
+        full_attention_forward(tiny_model, random_tokens(room + 1), cache=cache)
+    assert cache[0][0].shape[1] == n
+    full_attention_forward(tiny_model, random_tokens(room), cache=cache)
+    assert cache[0][0].shape[1] == cfg.pretrain_length
+
+
 def test_full_attention_causality(tiny_model):
     toks = random_tokens(60)
     base = full_attention_forward(tiny_model, toks)

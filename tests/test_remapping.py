@@ -32,17 +32,6 @@ def test_capacity_error():
     remap([[0, 1, 2]], lo, recent_len=0, max_positions=128)
 
 
-def test_unknown_chunk_rejected():
-    lo = ChunkLayout(n=64, chunk_size=32)
-    with pytest.raises(ValueError, match="outside layout"):
-        remap([[0, 5]], lo, recent_len=0, max_positions=512)
-    with pytest.raises(ValueError, match="outside layout"):
-        remap([[-1, 0]], lo, recent_len=0, max_positions=512)
-    # the partial tail chunk is the recent region, never a selected chunk
-    with pytest.raises(ValueError, match="outside layout"):
-        remap([[0, 2]], ChunkLayout(n=70, chunk_size=32), recent_len=6, max_positions=512)
-
-
 def test_negative_recent_rejected():
     lo = ChunkLayout(n=64, chunk_size=32)
     with pytest.raises(ValueError):

@@ -13,8 +13,10 @@ first alternating from step to step. The default shape is the
 top-k; `--policy` selects another selection policy for both engines.
 
 Per round it prints each tree's decode p50 and p95 in ms, b's change
-from a in percent, and whether the two trees generated the same tokens;
-then the median change over the rounds. Separate benchmark runs' decode
+from a in percent, whether the two trees generated the same tokens, and
+whether every step's logits (`last_logits`) were byte-identical, else the
+largest absolute difference over the round's steps; then the median change
+over the rounds. Separate benchmark runs' decode
 p50 move by several percent with no change to the code; steps
 interleaved in one process see the same machine, so a 1-3% cost
 resolves.
@@ -52,7 +54,8 @@ def engine_of(pkg, args):
 
 
 def round_times(pkgs, args, seed: int):
-    """Per package, its (steps,) decode step times in ms and its tokens."""
+    """Per package, its (steps,) decode step times in ms, its tokens and
+    its (steps, vocab) logits."""
     engines = [engine_of(pkg, args) for pkg in pkgs]
     vocab = pkgs[0].cli.DEFAULT_MODEL["vocab_size"]
     prompt = np.random.default_rng(seed).integers(0, vocab, size=args.n)
@@ -60,6 +63,7 @@ def round_times(pkgs, args, seed: int):
         engine.encode(prompt)
     times = np.empty((len(engines), args.steps))
     tokens = [[] for _ in engines]
+    logits = np.empty((len(engines), args.steps, vocab))
     clock = time.perf_counter_ns
     for step in range(args.steps):
         order = range(len(engines)) if step % 2 == 0 else reversed(range(len(engines)))
@@ -68,7 +72,8 @@ def round_times(pkgs, args, seed: int):
             out = engines[i].generate(1)
             times[i, step] = (clock() - t0) / 1e6
             tokens[i].extend(out.tokens)
-    return times, tokens
+            logits[i, step] = engines[i].last_logits
+    return times, tokens, logits
 
 
 def main() -> None:
@@ -90,16 +95,20 @@ def main() -> None:
                 load(args.b.resolve(), "chunkattn_b", Path(tmp))]
         print(f"n={args.n} l={args.chunk_size} k={args.k} {args.residency} {args.policy}, "
               f"{args.steps} steps per round; a={args.a} b={args.b}")
-        print("| round | a p50 | b p50 | Δp50 | a p95 | b p95 | Δp95 | tokens |")
-        print("|---|---|---|---|---|---|---|---|")
+        print("| round | a p50 | b p50 | Δp50 | a p95 | b p95 | Δp95 | tokens | logits |")
+        print("|---|---|---|---|---|---|---|---|---|")
         deltas = []
         for r in range(args.rounds):
-            times, tokens = round_times(pkgs, args, seed=r)
+            times, tokens, logits = round_times(pkgs, args, seed=r)
             (a50, b50), (a95, b95) = np.percentile(times, [50, 95], axis=1)
             deltas.append((b50 / a50 - 1, b95 / a95 - 1))
             same = "same" if tokens[0] == tokens[1] else "DIFFER"
+            if logits[0].tobytes() == logits[1].tobytes():
+                drift = "identical"
+            else:
+                drift = f"max |Δ| {np.abs(logits[0] - logits[1]).max():.1e}"
             print(f"| {r + 1} | {a50:.3f} | {b50:.3f} | {deltas[-1][0]:+.1%} | "
-                  f"{a95:.3f} | {b95:.3f} | {deltas[-1][1]:+.1%} | {same} |")
+                  f"{a95:.3f} | {b95:.3f} | {deltas[-1][1]:+.1%} | {same} | {drift} |")
         d50, d95 = np.median(deltas, axis=0)
         print(f"median over {args.rounds} rounds: Δp50 {d50:+.1%}, Δp95 {d95:+.1%}")
 

@@ -3,10 +3,11 @@
 
 Decode ranks one (H, C) block per layer and encode one (H, T, C) block per
 chunk group, T tokens of H heads. For H = 4, each C in CANDIDATES and each
-T in TOKENS, and the short rows of each C in SHORT_CANDIDATES and T in
-SHORT_TOKENS, it times the stable argsort path, the threshold path and
-`rank_top` itself on normal random scores, taking the k - 2 best as encode
-and decode do, and prints the best of several repeats in µs per call.
+T in TOKENS, the short rows of each C in SHORT_CANDIDATES and T in
+SHORT_TOKENS, and the mid-size (rows, C) blocks of MID_BLOCKS, it times the
+stable argsort path, the threshold path and `rank_top` itself on normal
+random scores, taking the k - 2 best as encode and decode do, and prints
+the best of several repeats in µs per call.
 These timings are the evidence for `rank_top`'s choice of path, which the
 header line states.
 
@@ -26,6 +27,8 @@ TOKENS = (16, 128)
 # Encode's early chunks rank few candidates in blocks of many rows.
 SHORT_CANDIDATES = (16, 30, 62)
 SHORT_TOKENS = (64, 128)
+# Mid-size blocks of 300-1,024 scores, on either side of the limits.
+MID_BLOCKS = ((4, 160), (4, 192), (4, 256), (8, 128), (16, 64), (32, 32), (1, 300))
 
 
 def path(rank):
@@ -63,13 +66,15 @@ def main() -> None:
     print(
         f"take={take}, best of {args.repeats}, µs per call; rank_top takes the argsort "
         f"when C <= {selection.ARGSORT_MAX_LENGTH} or the block holds <= "
-        f"{selection.ARGSORT_MAX_SCORES} scores"
+        f"{selection.ARGSORT_MAX_SCORES} scores (<= {selection.ARGSORT_MAX_LONG_SCORES} "
+        f"when C > 32)"
     )
     print("| shape | " + " | ".join(PATHS) + " |")
     print("|---|" + "---|" * len(PATHS))
     shapes = [(HEADS, c) for c in CANDIDATES]
     shapes += [(HEADS, t, c) for t in TOKENS for c in CANDIDATES]
     shapes += [(HEADS, t, c) for t in SHORT_TOKENS for c in SHORT_CANDIDATES]
+    shapes += list(MID_BLOCKS)
     for shape in dict.fromkeys(shapes):  # each shape once
         scores = rng.normal(size=shape)
         cells = [f"{time_call(fn, scores, take, args.repeats):,.1f}" for fn in PATHS.values()]

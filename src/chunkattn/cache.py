@@ -80,6 +80,10 @@ class ChunkStore:
             budget = None
         self.mode = residency
         self.budget = budget
+        # 0..H-1, read-only: the head of each row of a layer's (H, width)
+        # id matrix, built once for decode's trace and gather's index
+        self.heads = np.arange(n_heads)
+        self.heads.flags.writeable = False
         # rotated K and V rows of slab [chunk, layer, head]
         self._K = np.empty((0, n_layers, n_heads, chunk_size, d_head))
         self._V = np.empty_like(self._K)
@@ -258,8 +262,10 @@ class ChunkStore:
         the recent rows, valid until the layer's next write. The whole
         matrix is checked before any state changes, so a rejected call
         leaves the store as it was; the first bad id in row order names
-        the error. Every offloaded slab read is counted. Under budget
-        residency heads are then served one after another: a head's slabs
+        the error. Every offloaded slab read is counted: under offload
+        residency every slab is offloaded and under hot none is (`_install`
+        sets them so), so only budget residency reads the flags. Its
+        heads are then served one after another: a head's slabs
         move to the back of its LRU in id order and offloaded ones are
         promoted, then that head's slabs are evicted down to the budget and
         the hot peak is sampled. The hot set is otherwise left unchanged.
@@ -288,9 +294,12 @@ class ChunkStore:
                 f"chunk ids must be strictly ascending, got {tuple(ids[head].tolist())}"
             )
         ids = ids.astype(np.intp, copy=False)
-        heads = np.arange(H)[:, None]
-        cold = ~self._hot[layer][heads, ids]
-        loaded = int(np.count_nonzero(cold)) * l
+        heads = self.heads[:, None]
+        if self.mode == "budget":
+            cold = ~self._hot[layer][heads, ids]
+            loaded = int(np.count_nonzero(cold)) * l
+        else:  # every offload slab is offloaded and every hot-mode slab hot
+            loaded = ids.size * l if self.mode == "offload" else 0
         self.tokens_loaded_this_step += loaded
         self.tokens_loaded_total += loaded
         if self.mode == "budget":

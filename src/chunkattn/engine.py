@@ -287,7 +287,9 @@ class Engine:
                 cands = reprs[:, 1 : 1 + C].swapaxes(-1, -2)
                 np.matmul(q[:, rows], cands, out=scores[:, rows, :C])
                 scores[:, rows, C:] = -np.inf
-        last = np.arange(c0 - 1, c1 - 1).repeat(l_c)  # each row's last chunk
+        last = np.arange(c0 - 1, c1 - 1)  # each row's last chunk
+        if l_c > 1:
+            last = last.repeat(l_c)
         rngs = None
         if policy == "random":
             rngs = [[np.random.default_rng([cfg.seed, layer, head, token0 + j]) for j in range(T)]
@@ -336,16 +338,18 @@ class Engine:
         Selection is encode's `_select` on a block of one row, the token
         standing as chunk c, the layer's sealed count; its (H, width) ids go
         to the trace in one `append` and to the store's `gather` as they
-        are."""
+        are. One `rope.apply` call per layer rotates the token's query and
+        key over a range of positions, reading the rotary table through
+        strided views."""
         mc = self.model.config
         l = self.config.chunk_size
         rope = self.model.rope
         store = self.store
         step = self.layout.n
-        heads = np.arange(mc.n_heads)
+        heads = store.heads
         store.begin_step()
         max_pos = -1
-        h = self.model.embed[np.array([token])]
+        h = self.model.embed[token : token + 1]  # a view of the read-only table
         for layer in range(mc.n_layers):
             x = rms_norm(h)
             Q, K, V = self.model.project_heads(layer, x)
@@ -358,20 +362,19 @@ class Engine:
             if k_sel.shape[1] * l + k_recent.shape[1] != position:
                 raise AssertionError("gathered rows disagree with the position map")
             # Keys are stored at R(r), r their offset in the chunk. The query
-            # sits at `position` and slot s at s*l + r, so one rotary call
-            # takes the query to position - s*l for s = 0..width (slot
-            # `width` holds the recent rows and this token) and this token's
-            # key to its own offset, `recent`.
-            width = ids.shape[1]
-            at = position - l * np.arange(width + 2)
-            at[-1] = recent
-            rot = rope.apply(np.concatenate([np.repeat(Q, width + 1, axis=1), K], axis=1), at)
-            k_self = rot[:, -1:]
+            # sits at `position` and slot s at s*l + r, so the query is taken
+            # to position - s*l for s = 0..width (slot `width` holds the
+            # recent rows and this token) and this token's key to its own
+            # offset, `recent`. One call rotates both over the ascending
+            # positions recent + j*l, j = 0..width: row j is the query for
+            # slot width - j, and row 0 also holds the key.
+            rot = rope.apply(np.concatenate([Q, K], axis=1), range(recent, position + 1, l))
+            k_self = rot[:, 0, 1:]
             # page (h, 0, s) holds slot s of head h's one query
-            pages = (rot[:, None, :width, None], k_sel[:, None].swapaxes(-1, -2),
+            pages = (rot[:, None, :0:-1, None, 0], k_sel[:, None].swapaxes(-1, -2),
                      v_sel[:, None], None)
             attn = attend(
-                rot[:, width : width + 1],
+                rot[:, 0, :1],
                 np.concatenate([k_recent, k_self], axis=1),
                 np.concatenate([v_recent, V], axis=1),
                 pages=pages,

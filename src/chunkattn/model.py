@@ -8,6 +8,7 @@ later be attended at remapped positions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,10 @@ PAGE_ROWS = 16
 
 def rms_norm(x: np.ndarray, eps: float = NORM_EPS) -> np.ndarray:
     # The mean as np.mean computes it (a sum, then a division), without
-    # np.mean's per-call overhead: decode normalises single rows.
+    # np.mean's per-call overhead: decode normalises single rows, whose
+    # scalar steps run as Python floats, the same IEEE operations.
+    if x.ndim == 2 and len(x) == 1:
+        return x / math.sqrt(float(np.add.reduce(x * x, axis=-1)[0]) / x.shape[-1] + eps)
     return x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1] + eps)
 
 
@@ -206,19 +210,34 @@ class RotaryTable:
         every row once per slot s, to positions[s], into a new (..., S, t,
         d_head) array; `rotate_half` runs once per row, and each slot's
         result is bit for bit that of a call with positions[s] alone.
+
+        An ascending `range` of S positions rotates every row at every one
+        of them, into (..., S, t, d_head), bit for bit the (S, t) array
+        whose row s repeats the range's s-th position. Its cos/sin rows are
+        a strided view of the table and its bounds are checked on its ends
+        alone; an empty or non-ascending range raises.
         """
         states = np.asarray(states, dtype=np.float64)
-        positions = np.asarray(positions, dtype=np.intp)
-        if positions.ndim not in (1, 2) or positions.shape[-1] != states.shape[-2]:
-            raise ValueError(
-                f"positions length {positions.shape} does not match rows {states.shape[-2]}"
-            )
         if states.shape[-1] != self.d_head:
             raise ValueError(f"expected trailing dimension {self.d_head}, got {states.shape[-1]}")
-        if positions.size == 0:
-            return np.empty(states.shape[:-2] + positions.shape + states.shape[-1:])
-        lo = int(positions.min())
-        hi = int(positions.max())
+        if isinstance(positions, range):
+            if not positions or positions.step < 0:
+                raise ValueError(f"positions {positions} must be a nonempty ascending range")
+            lo, hi = positions[0], positions[-1]
+            # (S, 1, d_head) views of the table, one row per slot
+            at = (slice(positions.start, positions.stop, positions.step), None)
+            slots = True
+        else:
+            positions = np.asarray(positions, dtype=np.intp)
+            if positions.ndim not in (1, 2) or positions.shape[-1] != states.shape[-2]:
+                raise ValueError(
+                    f"positions length {positions.shape} does not match rows {states.shape[-2]}"
+                )
+            if positions.size == 0:
+                return np.empty(states.shape[:-2] + positions.shape + states.shape[-1:])
+            lo, hi = int(positions.min()), int(positions.max())
+            at = positions
+            slots = positions.ndim == 2
         if lo < 0:
             raise ValueError(f"negative position {lo}")
         if hi >= self.max_positions:
@@ -226,10 +245,10 @@ class RotaryTable:
                 f"position {hi} is outside the rotary table "
                 f"(pretrain length {self.max_positions})"
             )
-        cos = self.cos[positions]
-        sin = self.sin[positions]
+        cos = self.cos[at]
+        sin = self.sin[at]
         rotated = rotate_half(states)
-        if positions.ndim == 2:  # the slot axis, before the rows
+        if slots:  # the slot axis, before the rows
             states, rotated = states[..., None, :, :], rotated[..., None, :, :]
         out = states * cos
         out += rotated * sin

@@ -11,16 +11,19 @@ import numpy as np
 
 # rank_top finds the top-k sets of a block of rows of C scores by a stable
 # argsort when C <= ARGSORT_MAX_LENGTH or the block holds at most
-# ARGSORT_MAX_SCORES scores, else by a threshold top-k. The argsort's cost
-# per score grows with C; the threshold's is flatter but has a fixed part,
-# which pays off sooner the more rows share it. With sets in place of
-# rankings it wins on 4-row decode blocks from about 192 scores a row (10.9
-# against 12.5 µs; 11.5 against 17.7 at 256, where the limits still take
-# the argsort) and on 256-row encode blocks from about 12 (33.8 against
-# 39.8 µs), and loses on 32-row blocks of 32 (13.5 against 9.9).
+# ARGSORT_MAX_SCORES scores (ARGSORT_MAX_LONG_SCORES when C > 32), else by a
+# threshold top-k. The argsort's cost per score grows with C; the
+# threshold's is flatter but has a fixed part, which pays off sooner the
+# more rows share it and the longer they are. Best of 9, argsort against
+# threshold: the threshold wins at (4, 192) 12.4 against 11.5 µs, (4, 256)
+# 16.6 against 11.5, (8, 128) 17.3 against 12.4 and (16, 64) 14.8 against
+# 12.8, and the argsort at (4, 160) 9.7 against 11.6, (32, 32) 10.0
+# against 15.0 and (1, 300) 6.2 against 9.2; on 256-row encode blocks the
+# threshold wins from about 12 scores a row (33.8 against 39.8 µs).
 # scripts/rank_top_shapes.py times both paths (see CHANGES.md).
 ARGSORT_MAX_LENGTH = 16
 ARGSORT_MAX_SCORES = 1024
+ARGSORT_MAX_LONG_SCORES = 640
 
 
 def rank_top(scores: np.ndarray, take: int, limit=None) -> np.ndarray:
@@ -38,7 +41,8 @@ def rank_top(scores: np.ndarray, take: int, limit=None) -> np.ndarray:
     take = max(0, min(take, count))
     if limit is not None:
         limit = np.broadcast_to(limit, scores.shape[:-1])[..., None]
-    if take == 0 or count <= ARGSORT_MAX_LENGTH or scores.size <= ARGSORT_MAX_SCORES:
+    most = ARGSORT_MAX_SCORES if count <= 32 else ARGSORT_MAX_LONG_SCORES
+    if take == 0 or count <= ARGSORT_MAX_LENGTH or scores.size <= most:
         return _argsort_top(scores, take, limit)
     rows = scores.size // count
     flat_limit = None if limit is None else limit.reshape(rows, 1)
@@ -71,14 +75,16 @@ def _threshold_top(flat, take, limit):
     row takes the argsort.
     """
     rows, count = flat.shape
-    part = flat.copy()
-    if limit is not None:
+    if limit is None:
+        part = np.partition(flat, count - take, axis=-1)
+    else:
         # each row's cut-off positions, limit..C-1, as flat positions
+        part = flat.copy()
         cut = np.maximum(count - limit[:, 0], 0)
         ends = np.cumsum(cut)
         at = np.repeat((np.arange(rows) + 1) * count - ends, cut) + np.arange(ends[-1])
         part.ravel()[at] = -np.inf
-    part.partition(count - take, axis=-1)
+        part.partition(count - take, axis=-1)
     row, col = np.divmod(np.flatnonzero(flat >= part[:, count - take, None]), count)
     if limit is not None:
         before = col < limit[row, 0]

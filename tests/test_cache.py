@@ -336,6 +336,12 @@ def test_hot_level_counter_matches_recount(ops, mode, seed):
             sealed = store.sealed_count(op[1])
             ids = [sorted(i for i in head_ids if i < sealed) for head_ids in op[2]]
             width = min(len(row) for row in ids)
-            store.gather(op[1], [row[:width] for row in ids])
+            ids = [row[:width] for row in ids]
+            # loads are counted from the residency just before the call
+            offloaded = sum(store.residency_flags(op[1], head)[cid] == "offloaded"
+                            for head, row in enumerate(ids) for cid in row)
+            loaded = store.tokens_loaded_total
+            store.gather(op[1], ids)
+            assert store.tokens_loaded_total - loaded == store.chunk_size * offloaded
         assert store._hot_level == store.hot_tokens()
         assert store.peak_hot_tokens == reference["peak"]

@@ -541,8 +541,9 @@ def test_decode_rotates_queries_per_slot_not_gathered_keys(tiny_config, l):
     rows = []
 
     def counting_apply(states, positions):
-        rows.append(np.asarray(states).size // model.config.d_head)
-        return rotate(states, positions)
+        out = rotate(states, positions)
+        rows.append(out.size // model.config.d_head)  # rows rotated, not rows passed
+        return out
 
     model.rope.apply = counting_apply
     L, H = tiny_config.n_layers, tiny_config.n_heads
@@ -554,9 +555,10 @@ def test_decode_rotates_queries_per_slot_not_gathered_keys(tiny_config, l):
         before = len(engine.trace)
         engine.generate(1)
         widths = engine.trace.width[before:]
-        # per (layer, head): the query once per slot and once for its own
-        # chunk, plus its own key; never the k*l + recent gathered rows
-        assert sum(rows) == int((widths + 2).sum()) == L * H * (k + 2)
+        # per (layer, head): the query and the token's key once per slot,
+        # the own chunk's included; never the k*l + recent gathered rows
+        assert sum(rows) == int((2 * (widths + 1)).sum()) == L * H * 2 * (k + 1)
+        assert 2 * (k + 1) < k * l
 
 
 @pytest.mark.parametrize("residency,budget", [("hot", None), ("offload", None), ("budget", 80)])

@@ -88,6 +88,14 @@ def test_rotary_rejects_out_of_table_position():
         table.apply(rows, [64])
     with pytest.raises(ValueError, match="negative"):
         table.apply(rows, [-1])
+    # a range: the same messages, from its ends; empty or descending raises
+    with pytest.raises(ValueError, match=r"^position 64 is outside the rotary table"):
+        table.apply(rows, range(0, 65, 16))
+    with pytest.raises(ValueError, match="^negative position -1$"):
+        table.apply(rows, range(-1, 10))
+    for bad in (range(3, 3), range(5, 0, -1)):
+        with pytest.raises(ValueError, match="nonempty ascending range"):
+            table.apply(rows, bad)
 
 
 def test_rotary_length_mismatch():
@@ -111,6 +119,13 @@ def test_rotary_slot_axis_is_bitwise_one_call_per_slot():
         assert out.shape == lead + (S, t, d)
         for s in range(S):
             np.testing.assert_array_equal(out[..., s, :, :], table.apply(states, positions[s]))
+        # an ascending range rotates every row at each of its positions,
+        # exactly as the array whose row s repeats its s-th position
+        at = range(t % l, t % l + S * l, l)
+        ranged = table.apply(states, at)
+        repeated = table.apply(states, np.repeat(np.array(at)[:, None], t, axis=1))
+        assert ranged.shape == repeated.shape == lead + (S, t, d)
+        assert ranged.tobytes() == repeated.tobytes()
 
 
 def test_rotary_slot_axis_checks_every_position():
@@ -120,6 +135,15 @@ def test_rotary_slot_axis_checks_every_position():
         table.apply(rows, [[0, 1, 2], [3, 64, 5]])
     with pytest.raises(ValueError, match="negative"):
         table.apply(rows, [[0, 1, 2], [3, 4, -1]])
+    # a range's first and last positions bound every one between them
+    assert table.apply(rows, range(3, 64, 20)).shape == (2, 4, 3, 8)
+    with pytest.raises(ValueError, match="outside the rotary table"):
+        table.apply(rows, range(4, 65, 20))
+    with pytest.raises(ValueError, match="negative"):
+        table.apply(rows, range(-17, 64, 20))
+    for bad in (range(0), range(7, 7, 2), range(9, 3, -3)):
+        with pytest.raises(ValueError, match="nonempty ascending range"):
+            table.apply(rows, bad)
     with pytest.raises(ValueError, match="does not match"):
         table.apply(rows, [[0, 1], [2, 3]])
     with pytest.raises(ValueError, match="does not match"):
@@ -135,10 +159,11 @@ def test_rotary_slot_axis_leaves_states_unchanged():
     states = np.random.default_rng(4).normal(size=(2, 5, 8))
     before = states.copy()
     states.flags.writeable = False  # a write in place raises
-    out = table.apply(states, np.arange(15).reshape(3, 5))
-    np.testing.assert_array_equal(states, before)
-    out[...] = 0.0  # a new array, not a view of states
-    np.testing.assert_array_equal(states, before)
+    for positions in (np.arange(15).reshape(3, 5), range(2, 60, 7)):
+        out = table.apply(states, positions)
+        np.testing.assert_array_equal(states, before)
+        out[...] = 0.0  # a new array, not a view of states
+        np.testing.assert_array_equal(states, before)
 
 
 def test_full_attention_single_token(tiny_model):
